@@ -41,18 +41,20 @@ func blastRadius(n int, router routing.Router, hit func(routing.Route) bool, ski
 		return 0, fmt.Errorf("fluid: blast radius needs n >= 2, got %d", n)
 	}
 	affected, total := 0, 0
+	found := false
+	visit := func(p routing.Route, prob float64) {
+		if !found && prob > 0 && hit(p) {
+			found = true
+		}
+	}
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
 			if src == dst || skip(src, dst) {
 				continue
 			}
 			total++
-			found := false
-			router.Paths(src, dst, func(p routing.Route, prob float64) {
-				if !found && prob > 0 && hit(p) {
-					found = true
-				}
-			})
+			found = false
+			router.Paths(src, dst, visit)
 			if found {
 				affected++
 			}

@@ -48,55 +48,65 @@ func Solve(s *matching.Schedule, router routing.Router, tm *workload.Matrix) (*R
 	}
 
 	// Capacities from the schedule: count integer slots per directed link
-	// and divide once by the period, so every capacity is an exact
-	// multiple of 1/period. (Accumulating float64 increments of 1/period
-	// drifts for non-power-of-2 periods once a link repeats.)
-	slotCount := make([][]int, s.N)
-	for u := range slotCount {
-		slotCount[u] = make([]int, s.N)
-	}
-	for _, m := range s.Slots {
+	// and divide by the period only where a capacity is read, so every
+	// capacity is an exact multiple of 1/period. (Accumulating float64
+	// increments of 1/period drifts for non-power-of-2 periods once a
+	// link repeats.) Link u→v lives at flat index u*n+v; every index is
+	// range-checked first, since an out-of-range v would otherwise alias
+	// row u+1 instead of failing.
+	n := s.N
+	slotCount := make([]int, n*n)
+	for t, m := range s.Slots {
+		if len(m) != n {
+			return nil, fmt.Errorf("fluid: schedule slot %d has %d entries, want %d", t, len(m), n)
+		}
 		for u, v := range m {
-			slotCount[u][v]++
+			if v < 0 || v >= n {
+				return nil, fmt.Errorf("fluid: schedule slot %d maps %d->%d outside [0, %d)", t, u, v, n)
+			}
+			slotCount[u*n+v]++
 		}
 	}
 	period := float64(s.Period())
-	cap := make([][]float64, s.N)
-	for u := range cap {
-		cap[u] = make([]float64, s.N)
-		for v, c := range slotCount[u] {
-			if c > 0 {
-				cap[u][v] = float64(c) / period
+
+	// Expected loads from the router's path distribution. One visitor
+	// serves every pair: rate is the current pair's demand, and the path
+	// is only read, never kept (see routing.Router.Paths).
+	load := make([]float64, n*n)
+	var (
+		rate, hopWeighted float64
+		pathErr           error
+	)
+	visit := func(p routing.Route, prob float64) {
+		if pathErr != nil {
+			return
+		}
+		hopWeighted += rate * prob * float64(p.Hops())
+		for i := 0; i+1 < len(p); i++ {
+			u, v := p[i], p[i+1]
+			if u < 0 || u >= n || v < 0 || v >= n {
+				pathErr = fmt.Errorf("fluid: router %s emits hop %d->%d outside [0, %d)",
+					router.Name(), u, v, n)
+				return
 			}
+			k := u*n + v
+			if slotCount[k] == 0 {
+				pathErr = fmt.Errorf("fluid: router %s uses link %d->%d absent from schedule",
+					router.Name(), u, v)
+				return
+			}
+			load[k] += rate * prob
 		}
 	}
-
-	// Expected loads from the router's path distribution.
-	load := make([][]float64, s.N)
-	for u := range load {
-		load[u] = make([]float64, s.N)
-	}
-	hopWeighted, demandTotal := 0.0, 0.0
-	for src := 0; src < tm.N; src++ {
-		for dst := 0; dst < tm.N; dst++ {
-			rate := tm.Rates[src][dst]
-			if rate <= 0 {
+	demandTotal := 0.0
+	for src := 0; src < n; src++ {
+		for dst, r := range tm.Rates[src] {
+			if r <= 0 {
 				continue
 			}
+			rate = r
 			demandTotal += rate
-			var pathErr error
-			router.Paths(src, dst, func(p routing.Route, prob float64) {
-				hopWeighted += rate * prob * float64(p.Hops())
-				for i := 0; i+1 < len(p); i++ {
-					u, v := p[i], p[i+1]
-					if cap[u][v] <= 0 {
-						pathErr = fmt.Errorf("fluid: router %s uses link %d->%d absent from schedule",
-							router.Name(), u, v)
-						return
-					}
-					load[u][v] += rate * prob
-				}
-			})
+			router.Paths(src, dst, visit)
 			if pathErr != nil {
 				return nil, pathErr
 			}
@@ -108,19 +118,17 @@ func Solve(s *matching.Schedule, router routing.Router, tm *workload.Matrix) (*R
 	}
 
 	res := &Result{Theta: math.Inf(1), BottleneckSrc: -1, BottleneckDst: -1}
-	for u := 0; u < s.N; u++ {
-		for v := 0; v < s.N; v++ {
-			l := load[u][v]
-			if l <= 0 {
-				continue
-			}
-			res.LinkCount++
-			theta := cap[u][v] / l
-			if theta < res.Theta {
-				res.Theta = theta
-				res.BottleneckSrc, res.BottleneckDst = u, v
-				res.BottleneckLoad, res.BottleneckCap = l, cap[u][v]
-			}
+	for k, l := range load {
+		if l <= 0 {
+			continue
+		}
+		res.LinkCount++
+		c := float64(slotCount[k]) / period
+		theta := c / l
+		if theta < res.Theta {
+			res.Theta = theta
+			res.BottleneckSrc, res.BottleneckDst = k/n, k%n
+			res.BottleneckLoad, res.BottleneckCap = l, c
 		}
 	}
 	res.MeanHops = hopWeighted / demandTotal

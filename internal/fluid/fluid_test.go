@@ -1,11 +1,14 @@
 package fluid
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/matching"
 	"repro/internal/model"
+	"repro/internal/rng"
 	"repro/internal/routing"
 	"repro/internal/schedule"
 	"repro/internal/workload"
@@ -254,15 +257,27 @@ func TestBottleneckReported(t *testing.T) {
 }
 
 func BenchmarkSolveSORN128(b *testing.B) {
-	built, err := schedule.BuildSORN(schedule.SORNConfig{N: 128, Nc: 8, Q: 4.5})
+	benchmarkSolveSORN(b, schedule.SORNConfig{N: 128, Nc: 8, Q: 4.5}, 0.56)
+}
+
+// BenchmarkSolveSORN512 is the solve the fluid_sweep workload repeats:
+// at N=512, Nc=16 every inter-clique pair has 32 paths, so per-path
+// costs dominate.
+func BenchmarkSolveSORN512(b *testing.B) {
+	benchmarkSolveSORN(b, schedule.SORNConfig{N: 512, Nc: 16, Q: model.SORNQClamped(0.5, 16)}, 0.5)
+}
+
+func benchmarkSolveSORN(b *testing.B, cfg schedule.SORNConfig, x float64) {
+	built, err := schedule.BuildSORN(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	tm, err := workload.Locality(built.Cliques, 0.56)
+	tm, err := workload.Locality(built.Cliques, x)
 	if err != nil {
 		b.Fatal(err)
 	}
 	router := routing.NewSORN(built)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Solve(built.Schedule, router, tm); err != nil {
@@ -337,6 +352,94 @@ func TestCapacityExactMultiplesOfPeriod(t *testing.T) {
 		if res.Theta != 1 {
 			t.Errorf("n=%d epoch=%d: Direct uniform θ = %.20g, want exactly 1",
 				tc.n, tc.epoch, res.Theta)
+		}
+	}
+}
+
+// hopRouter is a fake router whose only path detours through one fixed
+// node, so a test can feed Solve a hop outside the schedule's range.
+type hopRouter struct{ hop int }
+
+func (h hopRouter) Name() string { return fmt.Sprintf("via-%d", h.hop) }
+func (h hopRouter) MaxHops() int { return 2 }
+func (h hopRouter) Route(src, dst, slot int, r *rng.RNG) routing.Route {
+	return h.RouteInto(nil, src, dst, slot, r)
+}
+func (h hopRouter) RouteInto(buf routing.Route, src, dst, slot int, r *rng.RNG) routing.Route {
+	return append(buf, src, h.hop, dst)
+}
+func (h hopRouter) Paths(src, dst int, fn func(routing.Route, float64)) {
+	fn(routing.Route{src, h.hop, dst}, 1)
+}
+
+func TestSolveRejectsOutOfRangeHops(t *testing.T) {
+	// Loads live in one flat n*n slice, so hop 0->n would land on link
+	// 1->0 (present in a round robin) and hop 1->-1 on link 0->7. Both
+	// must be reported as errors, never silently accounted or panic.
+	const n = 8
+	s := matching.RoundRobin(n)
+	for _, hop := range []int{n, -1, n * n} {
+		_, err := Solve(s, hopRouter{hop}, workload.Uniform(n))
+		if err == nil || !strings.Contains(err.Error(), "outside [0, 8)") {
+			t.Errorf("hop %d: err = %v, want an out-of-range error", hop, err)
+		}
+	}
+}
+
+func TestSolveRejectsRouterForOtherN(t *testing.T) {
+	// A router built for a larger network than the schedule sends paths
+	// through nodes the schedule does not have.
+	small := matching.RoundRobin(8)
+	vlb, err := routing.NewVLB(matching.Compile(matching.RoundRobin(16)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	orn, err := schedule.BuildOptimalORN(16, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []routing.Router{vlb, routing.NewORN(orn)} {
+		if _, err := Solve(small, r, workload.Uniform(8)); err == nil {
+			t.Errorf("%s over 16 nodes accepted against an 8-node schedule", r.Name())
+		}
+	}
+}
+
+func TestSolveRejectsMalformedSchedule(t *testing.T) {
+	for name, s := range map[string]*matching.Schedule{
+		"target out of range": {N: 4, Slots: []matching.Matching{{1, 2, 3, 4}}},
+		"negative target":     {N: 4, Slots: []matching.Matching{{1, 2, 3, -1}}},
+		"short slot":          {N: 4, Slots: []matching.Matching{{1, 0}}},
+		"long slot":           {N: 4, Slots: []matching.Matching{{1, 0, 3, 2, 0}}},
+	} {
+		if _, err := Solve(s, hopRouter{1}, workload.Uniform(4)); err == nil {
+			t.Errorf("%s: schedule accepted", name)
+		}
+	}
+}
+
+func TestSolveAllocsScaleWithPairs(t *testing.T) {
+	// Solve allocates a fixed handful of slices plus one path buffer per
+	// Paths call, i.e. per (src, dst) pair with demand. SORN pairs here
+	// have 3 to 8 paths each, so a per-path allocation would show up as
+	// several times the pair count.
+	const overhead = 16
+	for _, cfg := range []schedule.SORNConfig{{N: 32, Nc: 4, Q: 2}, {N: 64, Nc: 8, Q: 3}} {
+		built, err := schedule.BuildSORN(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		router := routing.NewSORN(built)
+		tm := workload.Uniform(cfg.N)
+		pairs := cfg.N * (cfg.N - 1)
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := Solve(built.Schedule, router, tm); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > float64(pairs+overhead) {
+			t.Errorf("N=%d: Solve allocates %.0f times for %d pairs, want at most %d",
+				cfg.N, allocs, pairs, pairs+overhead)
 		}
 	}
 }

@@ -57,12 +57,15 @@ func (r *Relabeled) RouteInto(buf Route, src, dst, slot int, g *rng.RNG) Route {
 	return buf
 }
 
-// Paths implements Router: the inner distribution with every hop renamed.
+// Paths implements Router: the inner distribution with every hop renamed
+// into one buffer reused for every path. The inner router's path is
+// only read, never written, so its own buffer stays intact.
 func (r *Relabeled) Paths(src, dst int, fn func(Route, float64)) {
+	buf := pathBuf(r.inner.MaxHops())
 	r.inner.Paths(r.inv[src], r.inv[dst], func(p Route, prob float64) {
-		mapped := make(Route, len(p))
-		for i, u := range p {
-			mapped[i] = r.perm[u]
+		mapped := buf[:0]
+		for _, u := range p {
+			mapped = append(mapped, r.perm[u])
 		}
 		fn(mapped, prob)
 	})

@@ -22,6 +22,14 @@
 // two representations; the small extra wait for a randomly chosen relay's
 // circuit is bounded by the intra-circuit spacing and is the price of the
 // paper's throughput model actually holding.
+//
+// Paths lends its path to the callback: the slice is valid only until the
+// callback returns, because the router rebuilds the next path in the same
+// scratch buffer (the bufio.Scanner.Bytes convention). A caller that keeps
+// a path must copy it. The buffer belongs to the call, not the router:
+// routers are shared read-only across concurrent sweep workers. So a
+// Paths call allocates once however many paths the pair has; Relabeled
+// adds a fixed two (its renaming visitor and the buffer it renames into).
 package routing
 
 import (
@@ -64,6 +72,9 @@ type Router interface {
 	RouteInto(buf Route, src, dst, slot int, r *rng.RNG) Route
 	// Paths calls fn for every path of the time-averaged path
 	// distribution with its probability (summing to 1 per src→dst pair).
+	// The path slice is valid only for the duration of the callback: the
+	// next path is written into the same per-call scratch buffer, so a
+	// caller that keeps a path must copy it.
 	Paths(src, dst int, fn func(path Route, prob float64))
 }
 
@@ -114,6 +125,11 @@ func (d *Direct) Paths(src, dst int, fn func(Route, float64)) {
 	fn(Route{src, dst}, 1)
 }
 
+// pathBuf returns a scratch buffer for one Paths call: it holds the
+// longest path a router with the given MaxHops emits, so appending hops
+// to it never reallocates.
+func pathBuf(maxHops int) Route { return make(Route, 0, maxHops+1) }
+
 // VLB is 2-hop Valiant load balancing over a fully connected schedule:
 // the first hop sprays to a uniformly random intermediate, the second hop
 // is the direct circuit to the destination. Worst-case throughput 50% for
@@ -162,11 +178,12 @@ func (v *VLB) RouteInto(buf Route, src, dst, slot int, r *rng.RNG) Route {
 // the direct path).
 func (v *VLB) Paths(src, dst int, fn func(Route, float64)) {
 	prob := 1 / float64(v.n-1)
+	p := pathBuf(v.MaxHops())
 	for w := 0; w < v.n; w++ {
 		if w == src {
 			continue
 		}
-		p := Route{src}
+		p = append(p[:0], src)
 		p = appendHop(p, w)
 		p = appendHop(p, dst)
 		fn(p, prob)
@@ -222,8 +239,9 @@ func (o *ORN) RouteInto(buf Route, src, dst, slot int, r *rng.RNG) Route {
 // Paths implements Router: intermediates are uniform over all N nodes.
 func (o *ORN) Paths(src, dst int, fn func(Route, float64)) {
 	prob := 1 / float64(o.orn.N)
+	p := pathBuf(o.MaxHops())
 	for w := 0; w < o.orn.N; w++ {
-		p := Route{src}
+		p = append(p[:0], src)
 		p = o.digitPath(p, w)
 		p = o.digitPath(p, dst)
 		fn(p, prob)
@@ -301,10 +319,11 @@ func (s *SORN) RouteInto(buf Route, src, dst, slot int, r *rng.RNG) Route {
 func (s *SORN) Paths(src, dst int, fn func(Route, float64)) {
 	cl := s.s.Cliques
 	mem := cl.Members(cl.CliqueOf(src))
+	p := pathBuf(s.MaxHops())
 	if cl.SameClique(src, dst) {
 		// Intra: intermediate uniform over clique members except src.
 		if len(mem) == 1 {
-			fn(Route{src, dst}, 1)
+			fn(append(p, src, dst), 1)
 			return
 		}
 		prob := 1 / float64(len(mem)-1)
@@ -312,7 +331,7 @@ func (s *SORN) Paths(src, dst int, fn func(Route, float64)) {
 			if w == src {
 				continue
 			}
-			p := Route{src}
+			p = append(p[:0], src)
 			p = appendHop(p, w)
 			p = appendHop(p, dst)
 			fn(p, prob)
@@ -325,7 +344,7 @@ func (s *SORN) Paths(src, dst int, fn func(Route, float64)) {
 	tc := cl.CliqueOf(dst)
 	for _, w := range mem {
 		y := s.landing(w, tc)
-		p := Route{src}
+		p = append(p[:0], src)
 		p = appendHop(p, w)
 		p = appendHop(p, y)
 		p = appendHop(p, dst)

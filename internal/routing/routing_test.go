@@ -471,3 +471,83 @@ func TestRouteIntoDoesNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+func TestPathsAllocsIndependentOfPathCount(t *testing.T) {
+	// Paths reuses one per-call buffer for every path it emits, so a
+	// call allocates at most once however many paths the pair has (1 to
+	// 127 here); Relabeled adds a fixed two (its visitor and its rename
+	// buffer).
+	type sized struct {
+		router Router
+		n      int
+	}
+	var cases []sized
+	for _, r := range routersUnderTest(t) {
+		cases = append(cases, sized{r, 16})
+	}
+	vlb, err := NewVLB(matching.Compile(matching.RoundRobin(128)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorn, err := schedule.BuildSORN(schedule.SORNConfig{N: 128, Nc: 8, Q: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, sized{vlb, 128}, sized{NewSORN(sorn), 128})
+	for _, c := range cases[:len(cases):len(cases)] {
+		rel, err := NewRelabeled(c.router, rng.New(93).Perm(c.n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, sized{rel, c.n})
+	}
+	noop := func(Route, float64) {}
+	for _, c := range cases {
+		limit := 1.0
+		if _, ok := c.router.(*Relabeled); ok {
+			limit = 3
+		}
+		for _, dst := range []int{1, c.n - 1} {
+			paths := 0
+			c.router.Paths(0, dst, func(Route, float64) { paths++ })
+			if avg := testing.AllocsPerRun(100, func() {
+				c.router.Paths(0, dst, noop)
+			}); avg > limit {
+				t.Errorf("%s: Paths(0,%d) allocates %.1f per call for %d paths, want <= %.0f",
+					c.router.Name(), dst, avg, paths, limit)
+			}
+		}
+	}
+}
+
+func TestPathsConcurrentCallsIndependent(t *testing.T) {
+	// Routers are shared read-only across sweep workers: concurrent Paths
+	// calls on one router must each see their own buffer (run under -race).
+	for _, router := range routersUnderTest(t) {
+		want := pathsOf(router, 3, 12)
+		done := make(chan []string, 4)
+		for g := 0; g < 4; g++ {
+			go func() {
+				var got []string
+				for i := 0; i < 50; i++ {
+					got = pathsOf(router, 3, 12)
+				}
+				done <- got
+			}()
+		}
+		for g := 0; g < 4; g++ {
+			if got := <-done; fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s: concurrent Paths = %v, want %v", router.Name(), got, want)
+			}
+		}
+	}
+}
+
+// pathsOf collects a pair's paths, copying each out of the lent buffer.
+func pathsOf(r Router, src, dst int) []string {
+	var out []string
+	r.Paths(src, dst, func(p Route, prob float64) {
+		out = append(out, fmt.Sprint(p, prob))
+	})
+	return out
+}
