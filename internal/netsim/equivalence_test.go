@@ -120,6 +120,7 @@ func TestDenseActiveEquivalenceFaultChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkEveryStep(t, s)
 		s.StartMeasuring()
 		tm := workload.Uniform(n)
 		flows := sparseFlows(t, tm, 3000)
@@ -161,6 +162,7 @@ func TestDenseActiveEquivalenceReconfigure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkEveryStep(t, s)
 		s.StartMeasuring()
 		tm := workload.Uniform(n)
 		flows := sparseFlows(t, tm, 2000)

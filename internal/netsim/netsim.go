@@ -32,6 +32,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -44,8 +45,20 @@ import (
 	"repro/internal/workload"
 )
 
-// maxWaypoints bounds route length (3D ORN uses 6 hops; SORN uses 3).
-const maxWaypoints = 8
+// maxHops is the longest route a cell can carry: the 2h hops of a
+// 3-D optimal ORN (SORN needs at most 3). A cell stores every waypoint
+// but the one its queue or delay-line slot already names, so the cell
+// holds maxHops-1 of them — see cell.
+const maxHops = 6
+
+// checkRouter rejects a router whose longest route would not fit in a
+// cell, at New and Reconfigure, before any route is written.
+func checkRouter(r routing.Router) error {
+	if h := r.MaxHops(); h > maxHops {
+		return fmt.Errorf("netsim: router %s routes up to %d hops; cells hold at most %d", r.Name(), h, maxHops)
+	}
+	return nil
+}
 
 // flowBlockBits sizes the flow arena blocks (1024 flows, ~40 KiB each):
 // flows are reachable by index without a per-flow allocation, stay
@@ -131,25 +144,56 @@ func (f *FlowState) Lost() int { return int(f.lost) }
 // Endpoints returns the flow's source and destination.
 func (f *FlowState) Endpoints() (src, dst int) { return int(f.src), int(f.dst) }
 
-// cell is one port-slot of data in flight. Waypoints are the nodes after
-// the source; idx points at the next one. The flow is referenced by its
-// index into the flow arena rather than by pointer, keeping the struct
-// pointer-free: the n² virtual output queues then cost the garbage
-// collector no scan work and their writes no barriers. The injection
-// slot is not stored per cell — every cell of a flow is injected at the
-// flow's arrival slot, so latency accounting reads FlowState.arrival —
-// which keeps the struct at 24 bytes, and every queue push, ring write,
-// and pop copy 25% cheaper than a 32-byte layout.
+// cell is one port-slot of data in flight: 16 bytes for every router.
+// A route of n hops visits waypoints W[0..n-1] after its source, and idx
+// counts the hops already completed, so W[idx] is the cell's current
+// target. That target is never stored: a queued cell sits in the VOQ of
+// its node toward W[idx], and an in-flight cell occupies the delay-line
+// slot of the node it lands at, which is W[idx]. The cell keeps only the
+// waypoints after the first hop, rest[k] = W[k+1] — five int16s cover
+// maxHops. The flow is referenced by its index into the flow arena
+// rather than by pointer, keeping the struct pointer-free: the n² VOQs
+// then cost the garbage collector no scan work and their writes no
+// barriers. The injection slot is not stored either — every cell of a
+// flow is injected at the flow's arrival slot, so latency accounting
+// reads FlowState.arrival. Staged: a cell lives in a VOQ, a delay-line
+// entry or a local copy, each with a single writer (see fifo and
+// Sim.ringCells).
+//
+//sornlint:staged
 type cell struct {
-	flow      int32
-	waypoints [maxWaypoints]int16
-	n, idx    int8
-	fresh     bool // still queued at its source, never transmitted
+	flow int32
+	rest [maxHops - 1]int16 // waypoints after the first hop
+	n    int8               // route length in hops
+	idx  uint8              // hops completed, | freshBit while never transmitted
 }
 
-// dst returns the cell's final destination (the last waypoint), saving
-// the flow-arena lookup on hot paths that only need the destination.
-func (c *cell) dst() int { return int(c.waypoints[c.n-1]) }
+// freshBit marks a cell still queued at its source, never transmitted.
+// Transmit clears it before the cell enters the delay line, so landing
+// cells carry the bare hop count.
+const freshBit uint8 = 1 << 7
+
+func (c *cell) fresh() bool { return c.idx&freshBit != 0 }
+
+// setRoute loads route p (source first) into c for its first hop, to
+// p[1]; the caller queues c toward p[1].
+func (c *cell) setRoute(p routing.Route) {
+	c.n = int8(len(p) - 1)
+	for h := 2; h < len(p); h++ {
+		c.rest[h-2] = int16(p[h])
+	}
+}
+
+// dst returns the cell's final destination given its current target —
+// the hop its queue or delay-line slot names — saving the flow-arena
+// lookup on hot paths that only need the destination. Only a one-hop
+// route ends at its current target without storing it.
+func (c *cell) dst(cur int) int {
+	if c.n == 1 {
+		return cur
+	}
+	return int(c.rest[c.n-2])
+}
 
 // fifo is a power-of-two circular buffer of cells: pushes and pops are
 // single indexed writes/reads with no compaction copies, and the buffer
@@ -256,7 +300,7 @@ type Stats struct {
 	// traffic in a single run (index = hop count; 0 unused).
 	LatencySlots  stats.Sample
 	FCTSlots      stats.Sample
-	LatencyByHops [maxWaypoints]stats.Sample
+	LatencyByHops [8]stats.Sample // room past maxHops; the length is public API
 }
 
 // mergeFrom folds a shard's staged deltas into s and resets them. Sample
@@ -450,6 +494,18 @@ type Sim struct {
 	backlog []int64  //sornlint:staged
 	fresh   []int64  //sornlint:staged
 
+	// occ is the VOQ occupancy bitmap: bit v of row u (word v>>6, bit
+	// v&63) is set iff voq[u][v] holds a cell. The sparse transmit loop
+	// tests it before touching a queue header, so an idle circuit costs
+	// one bit test in an n/8-byte row instead of a 32-byte header load
+	// from the n² header table. Rows follow the VOQ allocation rule — one
+	// slab up to voqSlabMax, above it a row allocated with each lazy VOQ
+	// row (nil exactly where the VOQ row is nil) — so the bitmap costs
+	// n²/8 bytes at most. A row is whole words and is written only with
+	// its VOQ row: pushes set a bit on a 0→1 queue, pops that empty a
+	// queue clear it, both by u's owning shard or a serial context.
+	occ [][]uint64 //sornlint:staged -- one writer per row (u's owning shard), as for voq
+
 	// totalBacklog tracks the queued-cell total incrementally — staged
 	// through shard.dBacklog during parallel phases — so Backlog() is
 	// O(1). The quiescence fast-forward consults it every open-loop slot.
@@ -567,6 +623,11 @@ type Sim struct {
 	obs        *obs.Observer
 	om         *simMetrics
 	traceFlows bool //sornlint:obsguard
+
+	// stepCheck, when non-nil, runs after every Step. In-package tests
+	// set it to verify internal invariants slot by slot; init leaves it
+	// in place so a check survives Reset.
+	stepCheck func()
 }
 
 // New builds a simulator.
@@ -616,8 +677,8 @@ func (s *Sim) init(cfg Config) error {
 	if cfg.PropNS < 0 {
 		return fmt.Errorf("netsim: negative propagation delay")
 	}
-	if cfg.Router.MaxHops()+1 > maxWaypoints {
-		return fmt.Errorf("netsim: router %s exceeds %d waypoints", cfg.Router.Name(), maxWaypoints)
+	if err := checkRouter(cfg.Router); err != nil {
+		return err
 	}
 	n := cfg.Schedule.N
 	if n > 1<<15 {
@@ -665,12 +726,15 @@ func (s *Sim) init(cfg Config) error {
 				row[i].head, row[i].tail = 0, 0
 			}
 		}
+		for _, row := range s.occ {
+			clear(row)
+		}
 		clear(s.backlog)
 		clear(s.fresh)
 		clear(s.freshPair)
 		clear(s.failedNode)
 	} else {
-		s.voq = newVOQ(n)
+		s.voq, s.occ = newVOQ(n)
 		s.backlog = make([]int64, n)
 		s.fresh = make([]int64, n)
 		s.freshPair = nil // allocated lazily by the first per-pair saturation run
@@ -951,22 +1015,20 @@ func (s *Sim) FailNode(u int) {
 	s.failedCount++
 	s.liveShard[s.shardOf[u]]--
 	purged := int64(0)
-	if row := s.voq[u]; row != nil {
-		for v := range row {
-			q := &row[v]
-			for {
-				c, ok := q.pop()
-				if !ok {
-					break
-				}
-				if c.fresh {
-					s.noteFreshConsumed(nil, u, c.dst())
-				}
-				s.flow(c.flow).lost++
-				purged++
+	forOccupied(s.voq[u], s.occ[u], func(v int, q *fifo) {
+		for {
+			c, ok := q.pop()
+			if !ok {
+				break
 			}
+			if c.fresh() {
+				s.noteFreshConsumed(nil, u, c.dst(v))
+			}
+			s.flow(c.flow).lost++
+			purged++
 		}
-	}
+	})
+	clear(s.occ[u])
 	s.backlog[u] -= purged
 	s.totalBacklog -= purged
 	s.deactivateSrc(u)
@@ -1048,14 +1110,9 @@ func (s *Sim) InjectFlow(src, dst, size int) *FlowState {
 	for i := 0; i < size; i++ {
 		p := s.router.RouteInto(s.routeBuf[:0], src, dst, int(s.slot)+i, s.rng)
 		s.routeBuf = p
-		var c cell
-		c.flow = fi
-		c.fresh = true
-		c.n = int8(len(p) - 1)
-		for h := 1; h < len(p); h++ {
-			c.waypoints[h-1] = int16(p[h])
-		}
-		s.enqueue(nil, src, &c)
+		c := cell{flow: fi, idx: freshBit}
+		c.setRoute(p)
+		s.enqueue(nil, src, p[1], &c)
 	}
 	if s.measuring {
 		s.stats.InjectedCells += int64(size)
@@ -1084,25 +1141,25 @@ func (s *Sim) noteFreshConsumed(sh *shard, u, dst int) {
 	}
 }
 
-// enqueue places a cell into node u's VOQ for its next waypoint,
-// dropping it if the queue is at its limit. It is called from the
-// landing phase with that node's owning shard (accounting is staged),
-// and from serial contexts — injection, reconfiguration — with sh nil
-// (accounting is applied directly). Only u's owning shard (or a serial
-// context) ever calls it, which is what makes the lazy row allocation
-// and the active-list append race-free.
-func (s *Sim) enqueue(sh *shard, u int, c *cell) {
-	next := int(c.waypoints[c.idx])
+// enqueue places a cell into node u's VOQ toward next — the cell's
+// current target, which the queue then names in its place — dropping
+// it if the queue is at its limit. It is called from the landing phase
+// with that node's owning shard (accounting is staged), and from serial
+// contexts — injection, reconfiguration — with sh nil (accounting is
+// applied directly). Only u's owning shard (or a serial context) ever
+// calls it, which is what makes the lazy row allocation, the occupancy
+// bit, and the active-list append race-free.
+func (s *Sim) enqueue(sh *shard, u, next int, c *cell) {
 	row := s.voq[u]
 	if row == nil {
 		row = s.voqRow(u)
 	}
 	q := &row[next]
 	if s.cfg.QueueLimit > 0 && q.len() >= s.cfg.QueueLimit {
-		if c.fresh {
+		if c.fresh() {
 			// Fresh cells are dropped only from serial contexts: a
 			// cell never returns to its source once transmitted.
-			s.noteFreshConsumed(sh, u, c.dst())
+			s.noteFreshConsumed(sh, u, c.dst(next))
 		}
 		if sh != nil {
 			sh.losses = append(sh.losses, flowLoss{flow: c.flow, cells: 1})
@@ -1116,6 +1173,9 @@ func (s *Sim) enqueue(sh *shard, u int, c *cell) {
 			}
 		}
 		return
+	}
+	if q.head == q.tail {
+		s.occ[u][next>>6] |= 1 << (uint(next) & 63)
 	}
 	q.push(c)
 	s.backlog[u]++
@@ -1138,29 +1198,52 @@ func (s *Sim) enqueue(sh *shard, u int, c *cell) {
 // Same threshold as circuitSet's bitmap-vs-neighbor-list switch.
 const voqSlabMax = 1024
 
-// newVOQ returns the empty VOQ table for n nodes: slab-backed row
-// views up to voqSlabMax (nothing is nil), lazily allocated rows
-// above (nil row = node never queued).
-func newVOQ(n int) [][]fifo {
+// newVOQ returns the empty VOQ table for n nodes and its occupancy
+// bitmap: slab-backed row views up to voqSlabMax (nothing is nil),
+// lazily allocated rows above (nil row = node never queued).
+func newVOQ(n int) ([][]fifo, [][]uint64) {
 	voq := make([][]fifo, n)
+	occ := make([][]uint64, n)
 	if n <= voqSlabMax {
 		slab := make([]fifo, n*n)
+		w := occWords(n)
+		words := make([]uint64, n*w)
 		for u := range voq {
 			voq[u] = slab[u*n : (u+1)*n : (u+1)*n]
+			occ[u] = words[u*w : (u+1)*w : (u+1)*w]
 		}
 	}
-	return voq
+	return voq, occ
 }
 
-// voqRow allocates node u's VOQ row on its first queued cell — the
-// deliberate once-per-node slow path of the lazy large-N layout
-// (small sims get slab rows from newVOQ and never reach it).
+// occWords is the length of one occupancy-bitmap row for n nodes.
+func occWords(n int) int { return (n + 63) / 64 }
+
+// voqRow allocates node u's VOQ row and occupancy row on its first
+// queued cell — the deliberate once-per-node slow path of the lazy
+// large-N layout (small sims get slab rows from newVOQ and never reach
+// it).
 //
 //sornlint:coldpath
 func (s *Sim) voqRow(u int) []fifo {
 	row := make([]fifo, s.n)
 	s.voq[u] = row
+	s.occ[u] = make([]uint64, occWords(s.n))
 	return row
+}
+
+// forOccupied calls fn for every non-empty queue of one VOQ row and its
+// occupancy row, in ascending next-hop order, skipping the empty
+// queues by their clear bits. fn may drain the queue it is handed;
+// clearing the bits is the caller's job.
+func forOccupied(row []fifo, occ []uint64, fn func(v int, q *fifo)) {
+	for w, word := range occ {
+		for word != 0 {
+			v := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			fn(v, &row[v])
+		}
+	}
 }
 
 // activateSrc adds u to its owning shard's active-source list when its
@@ -1277,6 +1360,9 @@ func (s *Sim) Step() {
 		s.stats.MeasuredSlots++
 	}
 	s.stepping = false
+	if s.stepCheck != nil {
+		s.stepCheck()
+	}
 }
 
 // stageArrivals routes this slot's transmissions to the landing shards
@@ -1526,18 +1612,19 @@ func (s *Sim) land(sh *shard, v int, c *cell) {
 		}
 		return
 	}
-	c.idx++
-	if c.idx >= c.n {
+	c.idx++ // landing cells are never fresh: idx is the hop count
+	if int8(c.idx) >= c.n {
 		s.deliver(sh, v, c)
 		return
 	}
+	next := int(c.rest[c.idx-1])
 	// After a reconfiguration, the cell's next circuit may no longer
 	// exist; re-route it from its landing node.
-	if !s.circuits.has(v, int(c.waypoints[c.idx])) {
+	if !s.circuits.has(v, next) {
 		s.rerouteFrom(sh, v, c)
 		return
 	}
-	s.enqueue(sh, v, c)
+	s.enqueue(sh, v, next, c)
 }
 
 // deliver counts a final-hop delivery at node v.
@@ -1620,6 +1707,7 @@ func (s *Sim) transmitShardDense(lo, hi int, sh *shard) {
 	planes := s.planes
 	rows := s.matchRows
 	voq := s.voq
+	occ := s.occ
 	backlog := s.backlog
 	failedNode := s.failedNode
 	failedLink := s.failedLink
@@ -1638,18 +1726,22 @@ func (s *Sim) transmitShardDense(lo, hi int, sh *shard) {
 				idle++
 				continue
 			}
-			c, ok := vq[v].pop()
+			q := &vq[v]
+			c, ok := q.pop()
 			if !ok {
 				if u != v {
 					idle++
 				}
 				continue
 			}
+			if q.head == q.tail {
+				occ[u][v>>6] &^= 1 << (uint(v) & 63)
+			}
 			backlog[u]--
 			dBacklog--
-			if c.fresh {
-				s.noteFreshConsumed(sh, u, c.dst())
-				c.fresh = false
+			if c.fresh() {
+				s.noteFreshConsumed(sh, u, c.dst(v))
+				c.idx &^= freshBit
 			}
 			if failedNode[v] || (hasFailedLink && failedLink[u] != nil && failedLink[u][v]) {
 				if sh != nil {
@@ -1741,6 +1833,7 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 		// swap-removed mid-iteration, which changes only list order —
 		// never results.
 		voq := s.voq
+		occ := s.occ
 		// Full coverage means every node in [lo, hi) is active (failed
 		// nodes are never listed), so the membership probe vanishes in
 		// the steady saturated state.
@@ -1753,9 +1846,13 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 					continue
 				}
 				v := row[u]
-				c, ok := voq[u][v].pop()
+				q := &voq[u][v]
+				c, ok := q.pop()
 				if !ok {
 					continue
+				}
+				if q.head == q.tail {
+					occ[u][v>>6] &^= 1 << (uint(v) & 63)
 				}
 				pops++
 				nb := backlog[u] - 1
@@ -1764,9 +1861,9 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 					drained++
 				}
 				dBacklog--
-				if c.fresh {
-					s.noteFreshConsumed(sh, u, c.dst())
-					c.fresh = false
+				if c.fresh() {
+					s.noteFreshConsumed(sh, u, c.dst(v))
+					c.idx &^= freshBit
 				}
 				if failedNode[v] || (hasFailedLink && failedLink[u] != nil && failedLink[u][v]) {
 					if sh != nil {
@@ -1828,22 +1925,30 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 		// A failed node cannot be on the list — FailNode deactivates it
 		// and purges its queues — so no liveness check is needed here.
 		row := s.voq[u]
+		occ := s.occ[u]
 		var flRow []bool
 		if hasFailedLink {
 			flRow = failedLink[u]
 		}
 		for p := 0; p < planes; p++ {
 			v := rows[p][u]
-			c, ok := row[v].pop()
-			if !ok {
+			// Test the occupancy bit before the queue header: most of a
+			// sparse source's circuits lead to empty queues.
+			w, bit := v>>6, uint64(1)<<(uint(v)&63)
+			if occ[w]&bit == 0 {
 				continue
+			}
+			q := &row[v]
+			c, _ := q.pop() // the set bit guarantees a cell
+			if q.head == q.tail {
+				occ[w] &^= bit
 			}
 			pops++
 			backlog[u]--
 			dBacklog--
-			if c.fresh {
-				s.noteFreshConsumed(sh, u, c.dst())
-				c.fresh = false
+			if c.fresh() {
+				s.noteFreshConsumed(sh, u, c.dst(v))
+				c.idx &^= freshBit
 			}
 			if failedNode[v] || (flRow != nil && flRow[v]) {
 				if sh != nil {
@@ -2027,18 +2132,13 @@ func (s *Sim) runSaturatedPerPair(sc SaturationConfig, measureAt, end int64) (*S
 		clear(s.freshPair)
 	}
 	for u := 0; u < s.n; u++ {
-		row := s.voq[u]
-		if row == nil {
-			continue
-		}
-		for v := range row {
-			q := &row[v]
+		forOccupied(s.voq[u], s.occ[u], func(v int, q *fifo) {
 			for i := q.head; i != q.tail; i++ {
-				if c := &q.buf[i&uint32(len(q.buf)-1)]; c.fresh {
-					s.freshPair[u*s.n+c.dst()]++
+				if c := &q.buf[i&uint32(len(q.buf)-1)]; c.fresh() {
+					s.freshPair[u*s.n+c.dst(v)]++
 				}
 			}
-		}
+		})
 	}
 	for u := 0; u < s.n; u++ {
 		if s.failedNode[u] {
@@ -2106,8 +2206,8 @@ func (s *Sim) Reconfigure(sched *matching.Schedule, router routing.Router) error
 	if sched.N != s.n {
 		return fmt.Errorf("netsim: new schedule over %d nodes, sim over %d", sched.N, s.n)
 	}
-	if router.MaxHops()+1 > maxWaypoints {
-		return fmt.Errorf("netsim: router %s exceeds %d waypoints", router.Name(), maxWaypoints)
+	if err := checkRouter(router); err != nil {
+		return err
 	}
 	if s.obs != nil {
 		s.obs.Emit(obs.Event{Slot: s.slot, Type: obs.EvReconfigBegin, Src: -1, Dst: -1})
@@ -2121,8 +2221,8 @@ func (s *Sim) Reconfigure(sched *matching.Schedule, router routing.Router) error
 	// fresh path from its current node. In-flight cells are re-routed by
 	// land() if their old next circuit disappeared. The active-source
 	// lists are rebuilt as rerouteFrom re-enqueues.
-	old := s.voq
-	s.voq = newVOQ(s.n)
+	old, oldOcc := s.voq, s.occ
+	s.voq, s.occ = newVOQ(s.n)
 	for i := range s.backlog {
 		s.backlog[i] = 0
 	}
@@ -2130,12 +2230,7 @@ func (s *Sim) Reconfigure(sched *matching.Schedule, router routing.Router) error
 	s.clearActive()
 	moved := int64(0)
 	for u := 0; u < s.n; u++ {
-		row := old[u]
-		if row == nil {
-			continue
-		}
-		for v := range row {
-			q := &row[v]
+		forOccupied(old[u], oldOcc[u], func(_ int, q *fifo) {
 			for {
 				c, ok := q.pop()
 				if !ok {
@@ -2144,7 +2239,7 @@ func (s *Sim) Reconfigure(sched *matching.Schedule, router routing.Router) error
 				s.rerouteFrom(nil, u, c)
 				moved++
 			}
-		}
+		})
 	}
 	if s.obs != nil {
 		s.obs.Emit(obs.Event{Slot: s.slot, Type: obs.EvReconfigCommit, Src: -1, Dst: -1, Cells: moved})
@@ -2163,11 +2258,10 @@ func (s *Sim) rerouteFrom(sh *shard, u int, c *cell) {
 		// rather than re-routed. If it never left its source the fresh
 		// accounting still charges it as queued there; consume it
 		// before it disappears into the delivery counters.
-		if c.fresh {
+		if c.fresh() {
 			s.noteFreshConsumed(sh, u, int(dst))
 		}
 		done := cell{flow: c.flow, n: 1, idx: 1}
-		done.waypoints[0] = int16(dst)
 		s.deliver(sh, u, &done)
 		return
 	}
@@ -2182,12 +2276,9 @@ func (s *Sim) rerouteFrom(sh *shard, u int, c *cell) {
 		s.routeBuf = p
 	}
 	nc := *c
-	nc.n = int8(len(p) - 1)
-	nc.idx = 0
-	for h := 1; h < len(p); h++ {
-		nc.waypoints[h-1] = int16(p[h])
-	}
-	s.enqueue(sh, u, &nc)
+	nc.idx &= freshBit // hop 0 of the new route; freshness carries over
+	nc.setRoute(p)
+	s.enqueue(sh, u, p[1], &nc)
 }
 
 // FlowsCompleted returns how many injected flows have finished.
@@ -2233,6 +2324,9 @@ func (s *Sim) ReconfigureGraceful(sched *matching.Schedule, router routing.Route
 	}
 	if sched.N != s.n {
 		return 0, 0, fmt.Errorf("netsim: new schedule over %d nodes, sim over %d", sched.N, s.n)
+	}
+	if err := checkRouter(router); err != nil {
+		return 0, 0, err
 	}
 	newCS := newCircuitSet(sched)
 	removedBacklog := func() int64 {

@@ -1160,6 +1160,49 @@ func BenchmarkOpenLoopSparse(b *testing.B) {
 	}
 }
 
+// BenchmarkOpenLoopSparse1024 is BenchmarkOpenLoopSparse at the
+// openloop_sparse benchmark workload's shape — 1024 nodes in 32
+// cliques, locality 0.56, load 0.002, web-search sizes — over a short
+// horizon. At 128 nodes the VOQ header table (512 KiB) fits in L2, so
+// only here does the sparse transmit loop's cost of probing empty
+// queues in a 32 MiB header table show; the occupancy bitmap is what
+// avoids it.
+func BenchmarkOpenLoopSparse1024(b *testing.B) {
+	x := 0.56
+	built, err := schedule.BuildSORN(schedule.SORNConfig{N: 1024, Nc: 32, Q: model.SORNQClamped(x, 16)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{
+		Schedule: built.Schedule, Router: routing.NewSORN(built),
+		SlotNS: 100, PropNS: 500, Seed: 1,
+		LatencySampleEvery: 16, Dense: *benchDense,
+	}
+	s, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tm, err := workload.Locality(built.Cliques, x)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen, err := workload.NewPoissonFlows(tm, workload.NewCapped(workload.WebSearch(), 1333), 0.002, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	flows := gen.Window(0, 20000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Reset(cfg); err != nil {
+			b.Fatal(err)
+		}
+		s.StartMeasuring()
+		if err := s.RunOpenLoop(flows, 20000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkLargeN prices simulator construction plus a short arrival
 // burst and a long drained tail at a node count the dense N² layouts
 // made expensive. Allocations are as much the headline as ns/op (run
@@ -1250,7 +1293,7 @@ func TestReconfigureWithFreshCellsQueued(t *testing.T) {
 		for v := range row {
 			q := &row[v]
 			for i := q.head; i != q.tail; i++ {
-				if q.buf[i&uint32(len(q.buf)-1)].fresh {
+				if q.buf[i&uint32(len(q.buf)-1)].fresh() {
 					perNode[u]++
 				}
 			}
@@ -1289,9 +1332,8 @@ func TestRerouteFreshCellAtDestinationConsumesFresh(t *testing.T) {
 	// sitting at its own destination (reachable via routes that cross
 	// dst mid-path, e.g. ORN digit paths, when a reconfigure requeues).
 	s.fresh[3]++
-	c := cell{flow: 0, fresh: true, n: 2}
-	c.waypoints[0] = 5
-	c.waypoints[1] = 3
+	c := cell{flow: 0, idx: freshBit, n: 2} // route ·→5→3, queued toward 5
+	c.rest[0] = 3
 	s.rerouteFrom(nil, 3, &c)
 	if s.fresh[3] != 0 {
 		t.Fatalf("fresh counter leaked: fresh[3] = %d, want 0", s.fresh[3])

@@ -118,6 +118,7 @@ func TestParallelDeterminismSaturatedPerPair(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkEveryStep(t, s)
 		if _, err := s.RunSaturated(SaturationConfig{
 			TM:             workload.Uniform(32),
 			Size:           workload.FixedSize(2),

@@ -26,6 +26,7 @@ func sornResetConfig(t *testing.T, workers int) Config {
 
 func runSaturatedTarget(t *testing.T, s *Sim) {
 	t.Helper()
+	checkEveryStep(t, s)
 	if _, err := s.RunSaturated(SaturationConfig{
 		TM:             workload.Uniform(32),
 		Size:           workload.FixedSize(2),
@@ -56,6 +57,7 @@ func dirtySim(t *testing.T, workers int) *Sim {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkEveryStep(t, s)
 	s.StartMeasuring()
 	gen, err := workload.NewPoissonFlows(workload.Uniform(n), workload.FixedSize(5), 0.4, 13)
 	if err != nil {

@@ -11,7 +11,9 @@
 # 64-node sweep, -count 3, best kept), BenchmarkFig2fSweep (the paper's
 # full default Figure 2(f) sweep through the bounded-parallel sweep
 # engine — the headline sweep wall-clock) and BenchmarkQSweep, plus the
-# netsim micro-benchmarks and the fluid solver benchmarks
+# netsim micro-benchmarks (among them BenchmarkOpenLoopSparse1024, the
+# 1024-node sparse open loop whose VOQ header table outgrows the caches)
+# and the fluid solver benchmarks
 # (BenchmarkSolveSORN128, and BenchmarkSolveSORN512: the 512-node solve
 # the fluid_sweep workload repeats). Everything runs -count 3 with the lowest
 # ns/op kept, so a single noisy pass can't masquerade as a regression.
@@ -40,7 +42,7 @@ if [ "$quick" = 1 ]; then
   {
     go test -run NONE -bench 'BenchmarkStepSaturated|BenchmarkStepChurn|BenchmarkInjectSaturated' \
       -benchtime 200x -benchmem ./internal/netsim/
-    go test -run NONE -bench 'BenchmarkOpenLoopSparse$|BenchmarkLargeN$' \
+    go test -run NONE -bench 'BenchmarkOpenLoopSparse$|BenchmarkOpenLoopSparse1024$|BenchmarkLargeN$' \
       -benchtime 1x -benchmem ./internal/netsim/
     go test -run NONE -bench 'BenchmarkSolveSORN128$|BenchmarkSolveSORN512$' \
       -benchtime 1x -benchmem ./internal/fluid/
@@ -65,7 +67,7 @@ workers="${NETSIM_WORKERS:-auto}"
   go test -run NONE -bench 'BenchmarkFigure2fSimulated$' -benchtime 1x -count 3 -benchmem .
   go test -run NONE -bench 'BenchmarkFig2fSweep$|BenchmarkQSweep$' -benchtime 1x -count 3 -benchmem .
   go test -run NONE -bench 'BenchmarkStepSaturated|BenchmarkStepChurn|BenchmarkInjectSaturated' -count 3 -benchmem ./internal/netsim/
-  go test -run NONE -bench 'BenchmarkOpenLoopSparse$|BenchmarkLargeN$' -benchtime 5x -count 3 -benchmem ./internal/netsim/
+  go test -run NONE -bench 'BenchmarkOpenLoopSparse$|BenchmarkOpenLoopSparse1024$|BenchmarkLargeN$' -benchtime 5x -count 3 -benchmem ./internal/netsim/
   go test -run NONE -bench 'BenchmarkSolveSORN128$' -count 3 -benchmem ./internal/fluid/
   go test -run NONE -bench 'BenchmarkSolveSORN512$' -benchtime 5x -count 3 -benchmem ./internal/fluid/
 } | tee /dev/stderr | go run ./cmd/benchjson -label "$label" -out "$out" \
