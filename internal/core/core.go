@@ -121,9 +121,11 @@ type SimOptions struct {
 	TargetBacklog      int64 // default 256 cells per node
 	// Planes is the parallel uplink count per node (default 1).
 	Planes int
-	// Workers shards each simulation step across this many goroutines
-	// (0 = one per available CPU, 1 = serial). Results are bit-identical
-	// for every value; see the netsim package comment.
+	// Workers shards each simulation step across up to this many
+	// goroutines (0 = one per available CPU, 1 = serial). Light phases
+	// run inline on the calling goroutine whatever the value; see
+	// netsim.Config.Workers. Results are bit-identical for every value;
+	// see the netsim package comment.
 	Workers int
 	// Obs optionally attaches the observability layer (metrics time
 	// series, phase timing, event trace). nil disables it; enabling it

@@ -277,36 +277,68 @@ func CircuitSet(s *Schedule) []bool {
 // hot operation of both the routing model and the slotted simulator.
 type Compiled struct {
 	sched *Schedule
-	// slotsTo[u][v] lists, in increasing order, the slots within one
-	// period in which u is circuited to v.
-	slotsTo [][][]int32
+	// The slots within one period in which u is circuited to v are
+	// slots[start[u*N+v]:start[u*N+v+1]], in increasing order: one
+	// offset array and one slot array (compressed sparse rows) instead
+	// of N² slice headers, which cost ~25 MB of headers alone at 1024
+	// nodes.
+	start []int32
+	slots []int32
 }
 
 // Compile indexes the schedule. The index is immutable afterwards.
 func Compile(s *Schedule) *Compiled {
-	c := &Compiled{sched: s}
-	c.slotsTo = make([][][]int32, s.N)
-	for u := range c.slotsTo {
-		c.slotsTo[u] = make([][]int32, s.N)
-	}
+	n := s.N
+	c := &Compiled{sched: s, start: make([]int32, n*n+1)}
+	// Counting pass, then an inclusive prefix sum: start[k] is the end
+	// of pair k's run (and start[N²] the total).
 	for t, m := range s.Slots {
+		if len(m) != n {
+			panic(fmt.Sprintf("matching: Compile: slot %d has %d entries, want %d", t, len(m), n))
+		}
 		for u, v := range m {
-			c.slotsTo[u][v] = append(c.slotsTo[u][v], int32(t))
+			if v < 0 || v >= n {
+				panic(fmt.Sprintf("matching: Compile: slot %d: node %d circuits to out-of-range %d", t, u, v))
+			}
+			c.start[u*n+v]++
+		}
+	}
+	for k := 1; k < len(c.start); k++ {
+		c.start[k] += c.start[k-1]
+	}
+	// Fill from the last slot back, moving each start[k] down to the
+	// beginning of pair k's run, which comes out in increasing order.
+	c.slots = make([]int32, c.start[n*n])
+	for t := len(s.Slots) - 1; t >= 0; t-- {
+		for u, v := range s.Slots[t] {
+			k := u*n + v
+			c.start[k]--
+			c.slots[c.start[k]] = int32(t)
 		}
 	}
 	return c
+}
+
+// slotsTo returns the in-period slots in which u is circuited to v, in
+// increasing order.
+func (c *Compiled) slotsTo(u, v int) []int32 {
+	k := u*c.sched.N + v
+	return c.slots[c.start[k]:c.start[k+1]]
 }
 
 // Schedule returns the underlying schedule.
 func (c *Compiled) Schedule() *Schedule { return c.sched }
 
 // HasCircuit reports whether u ever circuits to v.
-func (c *Compiled) HasCircuit(u, v int) bool { return len(c.slotsTo[u][v]) > 0 }
+func (c *Compiled) HasCircuit(u, v int) bool {
+	k := u*c.sched.N + v
+	return c.start[k+1] > c.start[k]
+}
 
 // NextSlot returns the first absolute slot >= from in which u is circuited
 // to v, and whether any such circuit exists in the schedule.
 func (c *Compiled) NextSlot(u, v, from int) (int, bool) {
-	slots := c.slotsTo[u][v]
+	slots := c.slotsTo(u, v)
 	if len(slots) == 0 {
 		return 0, false
 	}
@@ -335,7 +367,7 @@ func (c *Compiled) WaitSlots(u, v, from int) (int, bool) {
 // circuit to v (the intrinsic latency contribution of this hop), i.e. the
 // largest gap between consecutive occurrences within the period.
 func (c *Compiled) MaxWait(u, v int) (int, bool) {
-	slots := c.slotsTo[u][v]
+	slots := c.slotsTo(u, v)
 	if len(slots) == 0 {
 		return 0, false
 	}

@@ -15,7 +15,7 @@
 //
 // # Parallel execution
 //
-// Step is internally sharded across Config.Workers goroutines while
+// Step is internally sharded into Config.Workers node ranges while
 // staying bit-for-bit deterministic: the transmit phase shards by source
 // node (each shard pops only its own VOQs), the landing phase shards by
 // destination node (each shard pushes only its own VOQs), and everything
@@ -27,6 +27,16 @@
 // Workers: 1. Latency sampling and landing-time reroutes draw from
 // per-node rng streams split serially at construction, so their draw
 // sequences depend only on each node's own event order.
+//
+// Shards are a partition, not a promise of goroutines. A phase fans out
+// to one goroutine per shard only when its work bound — the cells that
+// can land, or the (source, plane) pairs that can transmit, this slot —
+// reaches fanoutCellsPerShard per shard; a lighter phase runs its shards
+// one after another on the calling goroutine, through the same per-shard
+// staging and merge. A goroutine spawn and wake-up costs more than a
+// light phase's work, so a sparse run pays per-slot cost in proportion to
+// the cells it moves whatever the worker count, and the two paths give
+// identical results by construction.
 package netsim
 
 import (
@@ -89,10 +99,13 @@ type Config struct {
 	// per slot — the paper's 16-uplink deployment, and the reason
 	// Table 1 divides δm by the uplink count.
 	Planes int
-	// Workers shards Step across this many goroutines. 0 picks
-	// GOMAXPROCS (capped at the node count), 1 runs serially. Every
-	// value yields bit-identical Stats — see the package comment — so
-	// the choice is purely a wall-clock knob.
+	// Workers shards Step across up to this many goroutines. 0 picks
+	// GOMAXPROCS (capped at the node count), 1 runs serially. A phase
+	// too light to repay a goroutine hand-off runs its shards inline on
+	// the calling goroutine whatever the value, so only heavy slots
+	// (large, busy fabrics) run in parallel. Every value yields
+	// bit-identical Stats — see the package comment — so the choice is
+	// purely a wall-clock knob.
 	Workers int
 	// Obs, when non-nil, attaches the observability layer: per-slot
 	// metric updates, phase wall-clock timing, and an event trace (flow
@@ -598,6 +611,28 @@ type Sim struct {
 
 	shards    []shard
 	matchRows [][]int // per-plane matching of the current slot
+	// phases[p] is plane p's position in the schedule period this slot,
+	// set serially by Step next to matchRows.
+	phases []int
+	// hopTab is the schedule transposed to node-major order:
+	// hopTab[u*period+t] = sched.Slots[t][u]. The sparse transmit loop
+	// visits scattered active sources, and a match row is a different
+	// 8·n-byte row every slot, so reading rows[p][u] misses the cache on
+	// nearly every source; a source that stays active reads adjacent
+	// entries of its own hopTab run from slot to slot instead. At two
+	// bytes an entry it is a quarter the size of the schedule's own
+	// rows. Built serially when init sees a new schedule and by Reconfigure, read-only
+	// in the shard phases. The saturated plane-major branch and the dense
+	// engine keep reading matchRows, which they walk in address order.
+	hopTab []int16
+
+	// fanoutMin is the per-shard work bound at which runPhase fans a
+	// phase out to goroutines: fanoutCellsPerShard, except that package
+	// tests set it to 0 to force every phase onto its goroutines. fanouts
+	// counts the phases that did fan out, so tests can tell the paths
+	// apart. New sets fanoutMin and init leaves both alone.
+	fanoutMin int
+	fanouts   int64
 
 	measuring bool
 	stats     Stats
@@ -632,7 +667,7 @@ type Sim struct {
 
 // New builds a simulator.
 func New(cfg Config) (*Sim, error) {
-	s := &Sim{}
+	s := &Sim{fanoutMin: fanoutCellsPerShard}
 	if err := s.init(cfg); err != nil {
 		return nil, err
 	}
@@ -774,8 +809,10 @@ func (s *Sim) init(cfg Config) error {
 	}
 	if len(s.matchRows) != cfg.Planes {
 		s.matchRows = make([][]int, cfg.Planes)
+		s.phases = make([]int, cfg.Planes)
 	} else {
 		clear(s.matchRows)
+		clear(s.phases)
 	}
 
 	// Failure state returns to the fresh-Sim default: failedLink back to
@@ -785,6 +822,7 @@ func (s *Sim) init(cfg Config) error {
 
 	if !sameSched {
 		s.circuits = newCircuitSet(cfg.Schedule)
+		s.buildHopTab()
 	}
 	s.stats = Stats{Planes: cfg.Planes}
 	s.measuring = false
@@ -874,6 +912,18 @@ func (s *Sim) init(cfg Config) error {
 		s.traceFlows = cfg.Obs.TraceFlows()
 	}
 	return nil
+}
+
+// buildHopTab fills hopTab from the current schedule, reusing its
+// capacity when the new table fits.
+func (s *Sim) buildHopTab() {
+	period := s.sched.Period()
+	s.hopTab = slices.Grow(s.hopTab[:0], s.n*period)[:s.n*period]
+	for t, row := range s.sched.Slots {
+		for u, v := range row {
+			s.hopTab[u*period+t] = int16(v)
+		}
+	}
 }
 
 // planeOffsets phase-staggers `planes` copies of a period-P schedule.
@@ -967,9 +1017,10 @@ func (s *Sim) StartMeasuring() { s.measuring = true }
 // RepairLink, and RepairNode mutate state — including the lazily
 // allocated failedLink bitmap — that transmit shards read with no
 // synchronization beyond the goroutine creation/join edges of runPhase.
-// Injecting between Steps is therefore safe for every worker count (each
-// Step's goroutines start after the mutation and the creation edge
-// publishes it), while injecting during a Step is a data race; the guard
+// Injecting between Steps is therefore safe for every worker count (a
+// phase run inline sees the mutation in program order, and a fanned-out
+// phase's goroutines start after it, so the creation edge publishes it),
+// while injecting during a Step is a data race; the guard
 // turns that misuse into a deterministic panic instead.
 func (s *Sim) failGuard() {
 	if s.stepping {
@@ -1312,19 +1363,24 @@ func (s *Sim) Step() {
 	s.stepping = true
 	period := int64(s.sched.Period())
 	for p := 0; p < s.planes; p++ {
-		s.matchRows[p] = s.sched.Slots[(s.slot+s.offsets[p])%period]
+		t := (s.slot + s.offsets[p]) % period
+		s.matchRows[p] = s.sched.Slots[t]
+		s.phases[p] = int(t)
 	}
 	timed := s.phaseTimed()
-	if s.dense {
-		s.runPhase(obs.PhaseLand, timed, (*Sim).landShardDense)
-	} else {
-		s.runPhase(obs.PhaseLand, timed, (*Sim).landShardActive)
-	}
 	cur := s.slot % int64(s.ringSlots)
+	// The dense engine's work bound is its full scan, so the dense vs
+	// active comparison measures the engines, not their dispatch.
+	denseWork := s.n * s.planes
+	if s.dense {
+		s.runPhase(obs.PhaseLand, timed, denseWork, (*Sim).landShardDense)
+	} else {
+		s.runPhase(obs.PhaseLand, timed, int(s.ringCount[cur]), (*Sim).landShardActive)
+	}
 	s.ringCount[cur] = 0
 	s.landScan[cur] = false
 	if s.dense {
-		s.runPhase(obs.PhaseTransmit, timed, (*Sim).transmitShardDense)
+		s.runPhase(obs.PhaseTransmit, timed, denseWork, (*Sim).transmitShardDense)
 	} else {
 		// Active sources (backlog > 0) bound this slot's transmissions
 		// at active×planes; if that already crosses the land-scan
@@ -1338,7 +1394,7 @@ func (s *Sim) Step() {
 			active += len(s.activeSrc[i])
 		}
 		s.stageSkip = int32(active)*int32(s.planes) >= s.landScanThreshold
-		s.runPhase(obs.PhaseTransmit, timed, (*Sim).transmitShardActive)
+		s.runPhase(obs.PhaseTransmit, timed, active*s.planes, (*Sim).transmitShardActive)
 	}
 	if len(s.shards) > 1 {
 		if timed {
@@ -1443,17 +1499,37 @@ func (s *Sim) FastForwardTo(target int64) int64 {
 	return skipped
 }
 
+// fanoutCellsPerShard is the work, in cells (or transmit opportunities)
+// per shard, at which a phase is worth fanning out to goroutines. Below
+// it a goroutine spawn plus wake-up costs more than the share of work it
+// takes off the caller: on a 2-vCPU host a full-backlog Step ran faster
+// inline up to 1024 nodes on two shards and faster fanned out at 2048
+// (BenchmarkStepSaturatedFullScale).
+const fanoutCellsPerShard = 768
+
 // runPhase executes one phase across all shards. Serial runs inline
 // over the whole node range with a nil shard, so accounting goes
-// straight to the shared state and the merge step disappears.
-// Parallel runs one goroutine per extra shard with the caller taking
-// shard 0; the WaitGroup barrier orders every phase-k write before
-// every phase-k+1 read.
-func (s *Sim) runPhase(p obs.Phase, timed bool, fn func(*Sim, int, int, *shard)) {
+// straight to the shared state and the merge step disappears. With
+// several shards, work bounds the cells the phase can move: below
+// fanoutMin per shard the caller runs the shards in order itself, with
+// the same per-shard staging — shards of one phase touch disjoint state,
+// so running them in sequence or concurrently gives the same result.
+// From fanoutMin up it runs one goroutine per extra shard with the
+// caller taking shard 0; the WaitGroup barrier orders every phase-k
+// write before every phase-k+1 read.
+func (s *Sim) runPhase(p obs.Phase, timed bool, work int, fn func(*Sim, int, int, *shard)) {
 	if len(s.shards) == 1 {
 		s.runShard(p, timed, 0, 0, s.n, nil, fn)
 		return
 	}
+	if work < s.fanoutMin*len(s.shards) {
+		for i := range s.shards {
+			sh := &s.shards[i]
+			s.runShard(p, timed, i, sh.lo, sh.hi, sh, fn)
+		}
+		return
+	}
+	s.fanouts++
 	var wg sync.WaitGroup
 	for i := 1; i < len(s.shards); i++ {
 		wg.Add(1)
@@ -1920,6 +1996,9 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 		}
 		return
 	}
+	hopTab := s.hopTab
+	phases := s.phases
+	period := s.sched.Period()
 	for k := 0; k < len(list); {
 		u := int(list[k])
 		// A failed node cannot be on the list — FailNode deactivates it
@@ -1930,8 +2009,9 @@ func (s *Sim) transmitShardActive(lo, hi int, sh *shard) {
 		if hasFailedLink {
 			flRow = failedLink[u]
 		}
+		off := u * period // u's run of hopTab
 		for p := 0; p < planes; p++ {
-			v := rows[p][u]
+			v := int(hopTab[off+phases[p]])
 			// Test the occupancy bit before the queue header: most of a
 			// sparse source's circuits lead to empty queues.
 			w, bit := v>>6, uint64(1)<<(uint(v)&63)
@@ -2215,6 +2295,7 @@ func (s *Sim) Reconfigure(sched *matching.Schedule, router routing.Router) error
 	s.sched = sched
 	s.router = router
 	s.circuits = newCircuitSet(sched)
+	s.buildHopTab()
 	s.offsets = planeOffsets(int64(sched.Period()), int64(s.planes))
 
 	// Re-route queued cells: each keeps its flow identity but gets a

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"flag"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -379,12 +380,34 @@ func BenchmarkStepSaturated(b *testing.B) {
 // BenchmarkInjectSaturated, which prices the whole slot including
 // injection). Run with -benchdense for the dense-engine baseline.
 func BenchmarkStepSaturatedFull(b *testing.B) {
-	built, err := schedule.BuildSORN(schedule.SORNConfig{N: 128, Nc: 8, Q: 4.5})
+	benchStepSaturatedFull(b, 128, 8, 0)
+}
+
+// BenchmarkStepSaturatedFullScale is BenchmarkStepSaturatedFull across
+// fabric sizes and worker counts: the evidence for fanoutCellsPerShard.
+// A full-backlog slot moves about n cells, so the N and Workers at which
+// the fanned-out Step overtakes the inline one mark the per-shard work
+// a goroutine hand-off needs to pay for itself.
+func BenchmarkStepSaturatedFullScale(b *testing.B) {
+	for _, size := range []struct{ n, nc int }{{128, 8}, {1024, 32}, {2048, 32}} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("N=%d/workers=%d", size.n, workers), func(b *testing.B) {
+				benchStepSaturatedFull(b, size.n, size.nc, workers)
+			})
+		}
+	}
+}
+
+// benchStepSaturatedFull times full-backlog Steps of an n-node SORN in
+// nc cliques (x = 0.56) at the given worker count (0 = default).
+func benchStepSaturatedFull(b *testing.B, n, nc, workers int) {
+	built, err := schedule.BuildSORN(schedule.SORNConfig{N: n, Nc: nc, Q: 4.5})
 	if err != nil {
 		b.Fatal(err)
 	}
 	router := routing.NewSORN(built)
-	s, err := New(Config{Schedule: built.Schedule, Router: router, SlotNS: 100, PropNS: 500, Seed: 1, Dense: *benchDense})
+	s, err := New(Config{Schedule: built.Schedule, Router: router, SlotNS: 100, PropNS: 500, Seed: 1,
+		Workers: workers, Dense: *benchDense})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1435,18 +1458,15 @@ func TestFailureDuringStepPanics(t *testing.T) {
 // contract: a FailLink injected between Steps is visible to every worker
 // from the very next Step, at any worker count, with identical results.
 func TestFailLinkBetweenStepsParallel(t *testing.T) {
-	runScenario(t, func(t *testing.T, workers int) *Sim {
+	runScenario(t, func(t *testing.T, m runMode) *Sim {
 		n := 16
 		sched := matching.RoundRobin(n)
 		v, err := routing.NewVLB(matching.Compile(sched))
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(Config{Schedule: sched, Router: v, SlotNS: 100, PropNS: 500,
-			Seed: 50, LatencySampleEvery: 2, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := m.newSim(t, Config{Schedule: sched, Router: v, SlotNS: 100, PropNS: 500,
+			Seed: 50, LatencySampleEvery: 2})
 		s.StartMeasuring()
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {

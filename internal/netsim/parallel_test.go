@@ -61,39 +61,77 @@ func statsEqual(t *testing.T, a, b *Stats) {
 	}
 }
 
-// runScenario executes one scenario at every worker count and checks the
-// resulting Stats (and queue/flow invariants) against the Workers:1 run.
-func runScenario(t *testing.T, scenario func(t *testing.T, workers int) *Sim) {
+// runMode is one replay of a determinism scenario: a worker count, and
+// whether every phase is forced onto its goroutines. Small test fabrics
+// sit below fanoutCellsPerShard, so without forcing, their multi-shard
+// replays would run every phase inline and never race two shards.
+type runMode struct {
+	workers int
+	fanout  bool
+}
+
+// newSim builds the scenario's simulator at the mode's worker count,
+// forcing fan-out when the mode asks for it.
+func (m runMode) newSim(t *testing.T, cfg Config) *Sim {
 	t.Helper()
-	ref := scenario(t, 1)
+	cfg.Workers = m.workers
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.fanout {
+		s.fanoutMin = 0
+	}
+	return s
+}
+
+// runScenario executes one scenario at every worker count, once with
+// forced fan-out and once with the default dispatch, and checks the
+// resulting Stats (and queue/flow invariants) against the Workers:1
+// run. The fan-out counter proves which path each replay took: every
+// phase of a forced replay fans out, and the small scenarios never
+// reach the default threshold.
+func runScenario(t *testing.T, scenario func(t *testing.T, m runMode) *Sim) {
+	t.Helper()
+	ref := scenario(t, runMode{workers: 1})
 	for _, w := range workerCounts()[1:] {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			got := scenario(t, w)
-			statsEqual(t, &ref.stats, &got.stats)
-			if ref.Backlog() != got.Backlog() || ref.InFlight() != got.InFlight() {
-				t.Fatalf("backlog/inflight: %d/%d vs %d/%d",
-					ref.Backlog(), ref.InFlight(), got.Backlog(), got.InFlight())
-			}
-			if ref.FlowsCompleted() != got.FlowsCompleted() {
-				t.Fatalf("flows completed: %d vs %d", ref.FlowsCompleted(), got.FlowsCompleted())
+			for _, mode := range []struct {
+				name   string
+				fanout bool
+			}{{"fanout", true}, {"default", false}} {
+				t.Run(mode.name, func(t *testing.T) {
+					got := scenario(t, runMode{workers: w, fanout: mode.fanout})
+					if mode.fanout && got.fanouts == 0 {
+						t.Fatal("forced fan-out replay never fanned a phase out")
+					}
+					if !mode.fanout && got.fanouts != 0 {
+						t.Fatalf("default replay fanned out %d phases below the threshold", got.fanouts)
+					}
+					statsEqual(t, &ref.stats, &got.stats)
+					if ref.Backlog() != got.Backlog() || ref.InFlight() != got.InFlight() {
+						t.Fatalf("backlog/inflight: %d/%d vs %d/%d",
+							ref.Backlog(), ref.InFlight(), got.Backlog(), got.InFlight())
+					}
+					if ref.FlowsCompleted() != got.FlowsCompleted() {
+						t.Fatalf("flows completed: %d vs %d", ref.FlowsCompleted(), got.FlowsCompleted())
+					}
+				})
 			}
 		})
 	}
 }
 
 func TestParallelDeterminismSaturated(t *testing.T) {
-	runScenario(t, func(t *testing.T, workers int) *Sim {
+	runScenario(t, func(t *testing.T, m runMode) *Sim {
 		n := 32
 		sched := matching.RoundRobin(n)
 		v, err := routing.NewVLB(matching.Compile(sched))
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(Config{Schedule: sched, Router: v, SlotNS: 100, PropNS: 500,
-			Seed: 11, LatencySampleEvery: 4, Planes: 2, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := m.newSim(t, Config{Schedule: sched, Router: v, SlotNS: 100, PropNS: 500,
+			Seed: 11, LatencySampleEvery: 4, Planes: 2})
 		if _, err := s.RunSaturated(SaturationConfig{
 			TM:            workload.Uniform(n),
 			Size:          workload.FixedSize(4),
@@ -108,16 +146,13 @@ func TestParallelDeterminismSaturated(t *testing.T) {
 }
 
 func TestParallelDeterminismSaturatedPerPair(t *testing.T) {
-	runScenario(t, func(t *testing.T, workers int) *Sim {
+	runScenario(t, func(t *testing.T, m runMode) *Sim {
 		sc, err := schedule.BuildSORN(schedule.SORNConfig{N: 32, Nc: 4, Q: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(Config{Schedule: sc.Schedule, Router: routing.NewSORN(sc),
-			SlotNS: 100, PropNS: 300, Seed: 7, LatencySampleEvery: 8, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := m.newSim(t, Config{Schedule: sc.Schedule, Router: routing.NewSORN(sc),
+			SlotNS: 100, PropNS: 300, Seed: 7, LatencySampleEvery: 8})
 		checkEveryStep(t, s)
 		if _, err := s.RunSaturated(SaturationConfig{
 			TM:             workload.Uniform(32),
@@ -133,18 +168,15 @@ func TestParallelDeterminismSaturatedPerPair(t *testing.T) {
 }
 
 func TestParallelDeterminismOpenLoopFailures(t *testing.T) {
-	runScenario(t, func(t *testing.T, workers int) *Sim {
+	runScenario(t, func(t *testing.T, m runMode) *Sim {
 		n := 27
 		orn, err := schedule.BuildOptimalORN(n, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(Config{Schedule: orn.Schedule, Router: routing.NewORN(orn),
+		s := m.newSim(t, Config{Schedule: orn.Schedule, Router: routing.NewORN(orn),
 			SlotNS: 100, PropNS: 400, Seed: 3, LatencySampleEvery: 1,
-			QueueLimit: 16, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
+			QueueLimit: 16})
 		s.StartMeasuring()
 		gen, err := workload.NewPoissonFlows(workload.Uniform(n), workload.FixedSize(3), 0.3, 9)
 		if err != nil {
@@ -169,16 +201,13 @@ func TestParallelDeterminismOpenLoopFailures(t *testing.T) {
 }
 
 func TestParallelDeterminismReconfigure(t *testing.T) {
-	runScenario(t, func(t *testing.T, workers int) *Sim {
+	runScenario(t, func(t *testing.T, m runMode) *Sim {
 		sc, err := schedule.BuildSORN(schedule.SORNConfig{N: 24, Nc: 4, Q: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(Config{Schedule: sc.Schedule, Router: routing.NewSORN(sc),
-			SlotNS: 100, PropNS: 300, Seed: 21, LatencySampleEvery: 2, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := m.newSim(t, Config{Schedule: sc.Schedule, Router: routing.NewSORN(sc),
+			SlotNS: 100, PropNS: 300, Seed: 21, LatencySampleEvery: 2})
 		s.StartMeasuring()
 		r := rng.New(21)
 		for i := 0; i < 200; i++ {

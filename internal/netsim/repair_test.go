@@ -209,17 +209,14 @@ func TestParallelDeterminismFaultPlan(t *testing.T) {
 	}
 	flows := gen.Window(0, 1500)
 
-	runScenario(t, func(t *testing.T, workers int) *Sim {
+	runScenario(t, func(t *testing.T, m runMode) *Sim {
 		sched := matching.RoundRobin(n)
 		v, err := routing.NewVLB(matching.Compile(sched))
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(Config{Schedule: sched, Router: v, SlotNS: 100, PropNS: 500,
-			Seed: 53, LatencySampleEvery: 2, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := m.newSim(t, Config{Schedule: sched, Router: v, SlotNS: 100, PropNS: 500,
+			Seed: 53, LatencySampleEvery: 2})
 		s.StartMeasuring()
 		drv := faultplan.NewDriver(plan)
 		next := 0

@@ -12,7 +12,10 @@
 # full default Figure 2(f) sweep through the bounded-parallel sweep
 # engine — the headline sweep wall-clock) and BenchmarkQSweep, plus the
 # netsim micro-benchmarks (among them BenchmarkOpenLoopSparse1024, the
-# 1024-node sparse open loop whose VOQ header table outgrows the caches)
+# 1024-node sparse open loop whose VOQ header table outgrows the caches,
+# and BenchmarkStepSaturatedFullScale, full-backlog Steps at 128, 1024
+# and 2048 nodes on one and two workers: where fanning a phase out to
+# goroutines starts to pay)
 # and the fluid solver benchmarks
 # (BenchmarkSolveSORN128, and BenchmarkSolveSORN512: the 512-node solve
 # the fluid_sweep workload repeats). Everything runs -count 3 with the lowest
@@ -40,9 +43,9 @@ if [ "$quick" = 1 ]; then
   tmp="$(mktemp)"
   trap 'rm -f "$tmp"' EXIT
   {
-    go test -run NONE -bench 'BenchmarkStepSaturated|BenchmarkStepChurn|BenchmarkInjectSaturated' \
+    go test -run NONE -bench 'BenchmarkStepSaturated$|BenchmarkStepSaturatedFull$|BenchmarkStepChurn|BenchmarkInjectSaturated' \
       -benchtime 200x -benchmem ./internal/netsim/
-    go test -run NONE -bench 'BenchmarkOpenLoopSparse$|BenchmarkOpenLoopSparse1024$|BenchmarkLargeN$' \
+    go test -run NONE -bench 'BenchmarkOpenLoopSparse$|BenchmarkOpenLoopSparse1024$|BenchmarkLargeN$|BenchmarkStepSaturatedFullScale$' \
       -benchtime 1x -benchmem ./internal/netsim/
     go test -run NONE -bench 'BenchmarkSolveSORN128$|BenchmarkSolveSORN512$' \
       -benchtime 1x -benchmem ./internal/fluid/
@@ -66,7 +69,8 @@ workers="${NETSIM_WORKERS:-auto}"
 {
   go test -run NONE -bench 'BenchmarkFigure2fSimulated$' -benchtime 1x -count 3 -benchmem .
   go test -run NONE -bench 'BenchmarkFig2fSweep$|BenchmarkQSweep$' -benchtime 1x -count 3 -benchmem .
-  go test -run NONE -bench 'BenchmarkStepSaturated|BenchmarkStepChurn|BenchmarkInjectSaturated' -count 3 -benchmem ./internal/netsim/
+  go test -run NONE -bench 'BenchmarkStepSaturated$|BenchmarkStepSaturatedFull$|BenchmarkStepChurn|BenchmarkInjectSaturated' -count 3 -benchmem ./internal/netsim/
+  go test -run NONE -bench 'BenchmarkStepSaturatedFullScale$' -benchtime 2000x -count 3 -benchmem ./internal/netsim/
   go test -run NONE -bench 'BenchmarkOpenLoopSparse$|BenchmarkOpenLoopSparse1024$|BenchmarkLargeN$' -benchtime 5x -count 3 -benchmem ./internal/netsim/
   go test -run NONE -bench 'BenchmarkSolveSORN128$' -count 3 -benchmem ./internal/fluid/
   go test -run NONE -bench 'BenchmarkSolveSORN512$' -benchtime 5x -count 3 -benchmem ./internal/fluid/
