@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/faultplan"
 	"repro/internal/matching"
 	"repro/internal/model"
 	"repro/internal/ocs"
@@ -466,6 +467,32 @@ func BenchmarkFCTvsLoad(b *testing.B) {
 	for _, p := range pts {
 		b.ReportMetric(p.P50us, "fct_us_p50_"+metricName(p.Design, ""))
 	}
+}
+
+// BenchmarkAvailability replays the availability experiment at the
+// avail_churn benchmark configuration: 128 nodes in 8 cliques, load 0.3
+// over 100k slots, link and node churn, a node outage and a telemetry
+// outage, so the resilient controller both falls back and recovers.
+func BenchmarkAvailability(b *testing.B) {
+	const n = 128
+	plan, err := faultplan.ParseSpec("churn@0-90000,links=0.002,nodes=0.0002,down=2000;node5@20000-40000", n, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := experiments.AvailabilityConfig{N: n, Nc: 8, X: 0.6, Load: 0.3, Slots: 100000,
+		OutageStart: 30000, OutageEnd: 50000, Plan: plan, Seed: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var res *experiments.AvailabilityResult
+	for i := 0; i < b.N; i++ {
+		if res, err = experiments.Availability(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if !res.FellBack || !res.Recovered {
+		b.Fatalf("controller fell back %v, recovered %v; want both", res.FellBack, res.Recovered)
+	}
+	b.ReportMetric(float64(res.SORNStats.DeliveredCells), "sorn_delivered_cells")
 }
 
 // metricName flattens a Table 1 row identity into a metric suffix.

@@ -96,8 +96,8 @@ type AvailabilityResult struct {
 	ObliviousStats netsim.Stats
 }
 
-// Availability runs the availability experiment. Both designs see the
-// same Poisson workload (same seed) and the same fault plan; the SORN
+// Availability runs the availability experiment. Both designs replay
+// the same Poisson flow trace and the same fault plan; the SORN
 // run additionally runs the resilient control loop every EpochSlots,
 // feeding it the offered matrix as its telemetry except during the
 // configured outage. The throughput/backlog/loss series shows the
@@ -140,6 +140,15 @@ func Availability(cfg AvailabilityConfig) (*AvailabilityResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Both designs replay one flow trace, generated once from its own
+	// seed (independent of the sims') and shared read-only by the two
+	// sweep points: identical arrivals, identical faults, different
+	// fabrics.
+	gen, err := workload.NewPoissonFlows(tm, workload.FixedSize(8), cfg.Load, cfg.Seed+1)
+	if err != nil {
+		return nil, err
+	}
+	flows := gen.Window(0, cfg.Slots)
 
 	type designRun struct {
 		windows []AvailabilityWindow
@@ -161,10 +170,10 @@ func Availability(cfg AvailabilityConfig) (*AvailabilityResult, error) {
 			}
 			ctl.Obs = cfg.Obs
 			resil := controlplane.NewResilient(ctl)
-			w, st, err := runAvailability(cfg, simWorkers, sorn, tm, "SORN+fallback", resil)
+			w, st, err := runAvailability(cfg, simWorkers, sorn, tm, flows, "SORN+fallback", resil)
 			return designRun{windows: w, stats: st}, err
 		}
-		w, st, err := runAvailability(cfg, simWorkers, obl, tm, "oblivious", nil)
+		w, st, err := runAvailability(cfg, simWorkers, obl, tm, flows, "oblivious", nil)
 		return designRun{windows: w, stats: st}, err
 	})
 	if err != nil {
@@ -185,14 +194,15 @@ func Availability(cfg AvailabilityConfig) (*AvailabilityResult, error) {
 	return res, nil
 }
 
-// runAvailability drives one design through the fault plan. resil is nil
-// for the static baseline. The slot loop interleaves, in fixed order:
+// runAvailability drives one design through the fault plan, injecting
+// the shared flow trace (read, never written). resil is nil for the
+// static baseline. The slot loop interleaves, in fixed order:
 // fault events, the control epoch, flow arrivals, then the Step — so a
 // slot's failures affect that slot's transmissions and a control
 // decision at slot t plans against everything observed strictly before
 // t.
 func runAvailability(cfg AvailabilityConfig, simWorkers int, nw *core.Network, tm *workload.Matrix,
-	label string, resil *controlplane.Resilient) ([]AvailabilityWindow, netsim.Stats, error) {
+	flows []workload.Flow, label string, resil *controlplane.Resilient) ([]AvailabilityWindow, netsim.Stats, error) {
 	if cfg.Obs != nil {
 		cfg.Obs.StartRun(label)
 	}
@@ -203,14 +213,6 @@ func runAvailability(cfg AvailabilityConfig, simWorkers int, nw *core.Network, t
 	if err != nil {
 		return nil, netsim.Stats{}, err
 	}
-	// The workload stream is seeded independently of the sim and shared
-	// (by value of the seed) across both designs: identical arrivals,
-	// identical faults, different fabrics.
-	gen, err := workload.NewPoissonFlows(tm, workload.FixedSize(8), cfg.Load, cfg.Seed+1)
-	if err != nil {
-		return nil, netsim.Stats{}, err
-	}
-	flows := gen.Window(0, cfg.Slots)
 	drv := faultplan.NewDriver(cfg.Plan)
 
 	sim.StartMeasuring()

@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"repro/internal/sortedmap"
 )
 
 // Matching is a directed circuit assignment for one time slot: node s
@@ -184,14 +182,26 @@ func (s *Schedule) LinkFraction(u, v int) float64 {
 	return float64(count) / float64(len(s.Slots))
 }
 
-// Neighbors returns the sorted set of destinations u ever circuits to.
-// SORN's schedule updates preserve this superset per node (paper §5).
+// Neighbors returns the sorted set of destinations u ever circuits to
+// (non-nil, possibly empty). SORN's schedule updates preserve this
+// superset per node (paper §5). Every slot's entry for u must lie in
+// [0, N).
 func (s *Schedule) Neighbors(u int) []int {
-	set := map[int]bool{}
+	seen := make([]bool, s.N)
+	count := 0
 	for _, m := range s.Slots {
-		set[m[u]] = true
+		if d := m[u]; !seen[d] {
+			seen[d] = true
+			count++
+		}
 	}
-	return sortedmap.Keys(set)
+	out := make([]int, 0, count)
+	for d, ok := range seen {
+		if ok {
+			out = append(out, d)
+		}
+	}
+	return out
 }
 
 // FullCoverage reports whether every ordered pair (u, v), u ≠ v, is

@@ -154,6 +154,20 @@ func TestNeighborsAndDestAtWrap(t *testing.T) {
 	}
 }
 
+// TestNeighborsAllocs bounds Neighbors to its mark slice and its
+// exactly-sized result.
+func TestNeighborsAllocs(t *testing.T) {
+	s := RoundRobin(64)
+	allocs := testing.AllocsPerRun(50, func() {
+		if len(s.Neighbors(5)) != 63 {
+			t.Fatal("round-robin node lost a neighbor")
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("Neighbors made %v allocations, want at most 2", allocs)
+	}
+}
+
 func TestCompiledNextSlot(t *testing.T) {
 	s := RoundRobin(5)
 	c := Compile(s)

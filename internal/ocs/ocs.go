@@ -13,7 +13,6 @@ package ocs
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/matching"
 )
@@ -151,11 +150,30 @@ func PlanUpdate(old, new *matching.Schedule) (*Update, error) {
 			}
 		}
 	}
+	// One pass over each schedule's slots marks every circuit it uses;
+	// scanning a node's row in destination order then yields its added
+	// and removed neighbors already sorted (nil when there are none).
+	const inOld, inNew = 1, 2
+	circuits := make([]uint8, n*n)
+	for _, m := range old.Slots {
+		for node, dst := range m {
+			circuits[node*n+dst] |= inOld
+		}
+	}
+	for _, m := range new.Slots {
+		for node, dst := range m {
+			circuits[node*n+dst] |= inNew
+		}
+	}
 	for node := 0; node < n; node++ {
-		oldNb := old.Neighbors(node)
-		newNb := new.Neighbors(node)
-		u.AddedNeighbors[node] = setDiff(newNb, oldNb)
-		u.RemovedNeighbors[node] = setDiff(oldNb, newNb)
+		for dst, c := range circuits[node*n : (node+1)*n] {
+			switch c {
+			case inNew:
+				u.AddedNeighbors[node] = append(u.AddedNeighbors[node], dst)
+			case inOld:
+				u.RemovedNeighbors[node] = append(u.RemovedNeighbors[node], dst)
+			}
+		}
 	}
 	return u, nil
 }
@@ -230,18 +248,6 @@ func (f *Fabric) Apply(s *matching.Schedule) (*Update, error) {
 	f.states = states
 	f.epoch++
 	return u, nil
-}
-
-// setDiff returns elements of a not present in b; both must be sorted.
-func setDiff(a, b []int) []int {
-	var out []int
-	for _, v := range a {
-		i := sort.SearchInts(b, v)
-		if i >= len(b) || b[i] != v {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 func gcd(a, b int) int {

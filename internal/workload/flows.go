@@ -1,9 +1,10 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/rng"
 )
@@ -140,15 +141,52 @@ func NewPoissonFlows(tm *Matrix, size SizeDist, load float64, seed uint64) (*Poi
 }
 
 // Window generates all flows arriving in slots [from, to), sorted by
-// arrival slot. Each source's arrival process is Poisson with rate
-// load·rowSum(src)/meanSize flows per slot.
+// (arrival slot, ID), or nil if none arrive. Each source's arrival
+// process is Poisson with rate load·rowSum(src)/meanSize flows per slot.
+// to ≤ from yields nil, though each source still draws its first
+// inter-arrival time.
+//
+// The rng draw order (per source an Exp, then per flow the destination's
+// Float64, the size draws and the next Exp) and therefore the flows are
+// those of drawing each destination with Matrix.SampleDest. Window picks
+// destinations by binary search over a prefix-sum row of the source's
+// positive rates, added in index order: the same additions SampleDest
+// makes while scanning. So the first prefix greater than
+// u = Float64()·RowSum(src) is the first destination at which
+// SampleDest's running sum exceeds u, and the last positive destination
+// when rounding leaves u at the total, as SampleDest falls back to.
 func (g *PoissonFlows) Window(from, to int64) []Flow {
-	var out []Flow
+	n := g.TM.N
 	mean := g.Size.MeanCells()
-	for src := 0; src < g.TM.N; src++ {
-		rate := g.Load * g.TM.RowSum(src) / mean // flows per slot
+	totals := make([]float64, n)
+	expect := 0.0
+	for src := range totals {
+		totals[src] = g.TM.RowSum(src)
+		if rate := g.Load * totals[src] / mean; rate > 0 && to > from {
+			expect += rate * float64(to-from)
+		}
+	}
+	// Presized to four standard deviations of the Poisson flow count
+	// above its mean, so the slice almost never regrows.
+	var out []Flow
+	if expect > 0 {
+		out = make([]Flow, 0, int(expect+4*math.Sqrt(expect))+16)
+	}
+	prefix := make([]float64, 0, n)
+	dests := make([]int, 0, n)
+	for src, total := range totals {
+		rate := g.Load * total / mean // flows per slot
 		if rate <= 0 {
 			continue
+		}
+		prefix, dests = prefix[:0], dests[:0]
+		acc := 0.0
+		for d, r := range g.TM.Rates[src] {
+			if r > 0 {
+				acc += r
+				prefix = append(prefix, acc)
+				dests = append(dests, d)
+			}
 		}
 		// Walk exponential inter-arrivals across the window.
 		t := float64(from) + g.rng.Exp(rate)
@@ -157,20 +195,38 @@ func (g *PoissonFlows) Window(from, to int64) []Flow {
 			out = append(out, Flow{
 				ID:      g.nextID,
 				Src:     src,
-				Dst:     g.TM.SampleDest(src, g.rng),
+				Dst:     dests[firstAbove(prefix, g.rng.Float64()*total)],
 				Size:    g.Size.Sample(g.rng),
 				Arrival: int64(t),
 			})
 			t += g.rng.Exp(rate)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Arrival != out[j].Arrival {
-			return out[i].Arrival < out[j].Arrival
+	if len(out) == 0 {
+		return nil
+	}
+	slices.SortFunc(out, func(a, b Flow) int {
+		if c := cmp.Compare(a.Arrival, b.Arrival); c != 0 {
+			return c
 		}
-		return out[i].ID < out[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	return out
+}
+
+// firstAbove returns the index of the first element of the non-decreasing
+// prefix greater than u, or the last index if none is.
+func firstAbove(prefix []float64, u float64) int {
+	lo, hi := 0, len(prefix)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if prefix[mid] > u {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // Capped truncates another size distribution at Max cells. Saturation-

@@ -18,8 +18,12 @@
 # goroutines starts to pay)
 # and the fluid solver benchmarks
 # (BenchmarkSolveSORN128, and BenchmarkSolveSORN512: the 512-node solve
-# the fluid_sweep workload repeats). Everything runs -count 3 with the lowest
-# ns/op kept, so a single noisy pass can't masquerade as a regression.
+# the fluid_sweep workload repeats), and the availability replay's
+# benchmarks: BenchmarkAvailability (the avail_churn configuration end to
+# end), BenchmarkPoissonWindow (its 480k-flow trace) and
+# BenchmarkPlanUpdate (its control plane's schedule diff). Everything
+# runs -count 3 with the lowest ns/op kept, so a single noisy pass can't
+# masquerade as a regression.
 # Quick mode only proves the harness works — benchmarks build, run, and
 # the JSON emitter parses them — without thresholds and without
 # touching the committed ledger.
@@ -49,6 +53,9 @@ if [ "$quick" = 1 ]; then
       -benchtime 1x -benchmem ./internal/netsim/
     go test -run NONE -bench 'BenchmarkSolveSORN128$|BenchmarkSolveSORN512$' \
       -benchtime 1x -benchmem ./internal/fluid/
+    go test -run NONE -bench 'BenchmarkAvailability$' -benchtime 1x -benchmem .
+    go test -run NONE -bench 'BenchmarkPoissonWindow$' -benchtime 1x -benchmem ./internal/workload/
+    go test -run NONE -bench 'BenchmarkPlanUpdate$' -benchtime 1x -benchmem ./internal/ocs/
   } | go run ./cmd/benchjson -label quick-smoke -out "$tmp"
   echo "bench.sh -quick: harness OK"
   exit 0
@@ -74,5 +81,8 @@ workers="${NETSIM_WORKERS:-auto}"
   go test -run NONE -bench 'BenchmarkOpenLoopSparse$|BenchmarkOpenLoopSparse1024$|BenchmarkLargeN$' -benchtime 5x -count 3 -benchmem ./internal/netsim/
   go test -run NONE -bench 'BenchmarkSolveSORN128$' -count 3 -benchmem ./internal/fluid/
   go test -run NONE -bench 'BenchmarkSolveSORN512$' -benchtime 5x -count 3 -benchmem ./internal/fluid/
+  go test -run NONE -bench 'BenchmarkAvailability$' -benchtime 1x -count 3 -benchmem .
+  go test -run NONE -bench 'BenchmarkPoissonWindow$' -benchtime 5x -count 3 -benchmem ./internal/workload/
+  go test -run NONE -bench 'BenchmarkPlanUpdate$' -count 3 -benchmem ./internal/ocs/
 } | tee /dev/stderr | go run ./cmd/benchjson -label "$label" -out "$out" \
     -gomaxprocs "$gomaxprocs" -workers "$workers"
