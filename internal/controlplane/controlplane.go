@@ -126,6 +126,11 @@ type Controller struct {
 	Obs *obs.Observer
 
 	epoch int64 // planning decisions made, for event ordinals
+
+	// memoBuilt is rebuildOnCliques(memoBuilt.Cliques, q) for the q
+	// whose bits are memoQ: the last schedule PlanNext built. See build.
+	memoBuilt *schedule.SORN
+	memoQ     uint64
 }
 
 // NewController creates a controller for n nodes in nc cliques.
@@ -182,7 +187,7 @@ func (c *Controller) PlanNext() (*Plan, error) {
 	// BuildSORN lays out contiguous equal cliques; rebuildOnCliques maps
 	// that construction onto the planned partition by relabeling nodes
 	// (the identity for the initial contiguous partition).
-	built, err := rebuildOnCliques(cl, q)
+	built, err := c.build(cl, q)
 	if err != nil {
 		return nil, err
 	}
@@ -199,6 +204,26 @@ func (c *Controller) PlanNext() (*Plan, error) {
 			X: p.X, Q: p.Q, Nc: cl.NumCliques(), Val: p.PredictedR})
 	}
 	return p, nil
+}
+
+// build returns rebuildOnCliques(cl, q), reusing the previous build when
+// the partition and the exact bits of q are unchanged — a steady-state
+// epoch re-plans the schedule already installed, and rebuilding, cloning
+// and validating it again was most of the replanning loop's allocation.
+// The memo is a pure-function cache, keyed on those inputs alone and
+// never on the installed plan: after a fallback the incumbent is the
+// fallback build, which is not what the planner asked for. Builds are
+// shared between plans and must not be mutated.
+func (c *Controller) build(cl *schedule.Cliques, q float64) (*schedule.SORN, error) {
+	if c.memoBuilt != nil && c.memoQ == math.Float64bits(q) && c.memoBuilt.Cliques.Equal(cl) {
+		return c.memoBuilt, nil
+	}
+	built, err := rebuildOnCliques(cl, q)
+	if err != nil {
+		return nil, err
+	}
+	c.memoBuilt, c.memoQ = built, math.Float64bits(q)
+	return built, nil
 }
 
 // Apply commits a plan, diffing against the current schedule.

@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/controlplane"
 	"repro/internal/fluid"
@@ -43,8 +44,12 @@ type Network struct {
 
 // NewSORN builds a semi-oblivious network for the expected locality ratio
 // x, using the throughput-optimal oversubscription q* = 2/(1−x) (clamped
-// to 16 so the schedule keeps inter-clique slots).
+// to 16 so the schedule keeps inter-clique slots). A locality outside
+// [0,1] (NaN included) is an error.
 func NewSORN(n, nc int, locality float64) (*Network, error) {
+	if math.IsNaN(locality) || locality < 0 || locality > 1 {
+		return nil, fmt.Errorf("core: locality %v outside [0,1]", locality)
+	}
 	return NewSORNWithQ(n, nc, model.SORNQClamped(locality, 16))
 }
 

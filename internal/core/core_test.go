@@ -31,6 +31,21 @@ func TestNewSORNThroughputMatchesTheory(t *testing.T) {
 	}
 }
 
+func TestNewSORNRejectsBadLocality(t *testing.T) {
+	for _, c := range []struct {
+		x  float64
+		ok bool
+	}{
+		{0, true}, {0.56, true}, {1, true},
+		{-0.01, false}, {1.5, false}, {math.NaN(), false}, {math.Inf(1), false}, {math.Inf(-1), false},
+	} {
+		_, err := NewSORN(32, 4, c.x)
+		if (err == nil) != c.ok {
+			t.Errorf("NewSORN(x=%v): err = %v, want ok=%v", c.x, err, c.ok)
+		}
+	}
+}
+
 func TestBaselinesThroughTheSameAPI(t *testing.T) {
 	orn1, err := NewORN1D(16)
 	if err != nil {

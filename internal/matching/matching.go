@@ -37,7 +37,13 @@ func CyclicShift(n, k int) Matching {
 // Validate reports whether m is a permutation of [0, len(m)) with no
 // self-circuits.
 func (m Matching) Validate() error {
-	seen := make([]bool, len(m))
+	return m.validate(make([]bool, len(m)))
+}
+
+// validate is Validate with a caller-owned scratch buffer of len(m)
+// bools, which it clears first.
+func (m Matching) validate(seen []bool) error {
+	clear(seen)
 	for s, d := range m {
 		if d < 0 || d >= len(m) {
 			return fmt.Errorf("matching: node %d circuits to out-of-range %d", s, d)
@@ -86,7 +92,8 @@ type Schedule struct {
 // Period returns the number of slots before the schedule repeats.
 func (s *Schedule) Period() int { return len(s.Slots) }
 
-// Validate checks that every slot is a valid matching over N nodes.
+// Validate checks that every slot is a valid matching over N nodes. It
+// allocates one scratch buffer per call, shared by every slot's check.
 func (s *Schedule) Validate() error {
 	if s.N <= 1 {
 		return fmt.Errorf("matching: schedule needs at least 2 nodes, got %d", s.N)
@@ -94,11 +101,12 @@ func (s *Schedule) Validate() error {
 	if len(s.Slots) == 0 {
 		return fmt.Errorf("matching: schedule has no slots")
 	}
+	seen := make([]bool, s.N)
 	for t, m := range s.Slots {
 		if len(m) != s.N {
 			return fmt.Errorf("matching: slot %d has %d entries, want %d", t, len(m), s.N)
 		}
-		if err := m.Validate(); err != nil {
+		if err := m.validate(seen); err != nil {
 			return fmt.Errorf("matching: slot %d: %w", t, err)
 		}
 	}

@@ -134,6 +134,8 @@ func TestScheduleValidateErrors(t *testing.T) {
 		{N: 4},
 		{N: 4, Slots: []Matching{{1, 0}}},
 		{N: 3, Slots: []Matching{{0, 1, 2}}},
+		// A repeated destination in a later slot, after a valid one.
+		{N: 3, Slots: []Matching{{1, 2, 0}, {1, 0, 0}}},
 	}
 	for i, s := range bad {
 		if s.Validate() == nil {
@@ -330,5 +332,18 @@ func TestCircuitSetMatchesCompiled(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestScheduleValidateAllocatesOnce is a host-independent allocation
+// guard: Validate shares one scratch buffer across every slot's check.
+func TestScheduleValidateAllocatesOnce(t *testing.T) {
+	s := RoundRobin(64)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Fatalf("Validate of a %d-slot schedule made %v allocations, want ≤1", s.Period(), allocs)
 	}
 }

@@ -65,6 +65,21 @@ func NewCliques(assign []int) (*Cliques, error) {
 // N returns the number of nodes.
 func (c *Cliques) N() int { return c.n }
 
+// Equal reports whether two partitions assign every node to the same
+// clique id. Every Cliques is derived from its assignment alone, so
+// equal partitions are interchangeable.
+func (c *Cliques) Equal(o *Cliques) bool {
+	if c.n != o.n {
+		return false
+	}
+	for node, id := range c.assign {
+		if o.assign[node] != id {
+			return false
+		}
+	}
+	return true
+}
+
 // NumCliques returns the number of cliques.
 func (c *Cliques) NumCliques() int { return len(c.members) }
 

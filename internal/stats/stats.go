@@ -80,64 +80,125 @@ func (s *Summary) Max() float64 {
 	return s.max
 }
 
+// sampleChunk caps a Sample storage chunk, in observations: 4096
+// float64s are 32 KiB, Go's largest small-object size class.
+const sampleChunk = 4096
+
 // Sample retains every observation and answers percentile queries exactly.
 // Suitable for the volumes this repository produces (≤ millions of points).
 // Staged: shard-phase code only ever appends into samples inside its own
 // shard's staged Stats, merged at the slot barrier in shard order.
 //
+// Storage is a list of chunks in insertion order: 8 observations, then
+// twice the previous chunk up to sampleChunk, then sampleChunk each. A
+// full chunk is sealed and never moved, so Add and DrainTo copy only the
+// new observations — a run's latency samples allocate about what they
+// keep, not the several times over that one growing slice copies on its
+// way up, and a small sample stays small. The first Percentile after an
+// Add flattens the chunks into one contiguous slice (once; a single
+// chunk is sorted in place) and sorts it, as Values then reports.
+//
+// A by-value copy (cur := *sim.Stats()) shares the chunks but records its
+// own lengths: further Adds on the original write past the copy's view,
+// so the copy's Values stay as they were. A Percentile on either, or a
+// DrainTo from the original, may reorder or reuse the shared storage.
+//
 //sornlint:staged
 type Sample struct {
-	xs     []float64
+	full   [][]float64 // sealed chunks, each filled to capacity
+	sealed int         // observations in full
+	tail   []float64   // open chunk the next Add appends to
 	sorted bool
 }
 
 // Add records one observation.
 func (s *Sample) Add(v float64) {
-	s.xs = append(s.xs, v)
+	if len(s.tail) == cap(s.tail) {
+		s.grow()
+	}
+	s.tail = append(s.tail, v)
 	s.sorted = false
 }
 
+// grow seals the (full) open chunk and opens the next one.
+func (s *Sample) grow() {
+	c := 2 * cap(s.tail)
+	if c == 0 {
+		c = 8
+	} else if c > sampleChunk {
+		c = sampleChunk
+	}
+	if len(s.tail) > 0 {
+		s.full = append(s.full, s.tail)
+		s.sealed += len(s.tail)
+	}
+	s.tail = make([]float64, 0, c)
+}
+
 // Count returns the number of observations.
-func (s *Sample) Count() int { return len(s.xs) }
+func (s *Sample) Count() int { return s.sealed + len(s.tail) }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) by linear
 // interpolation between closest ranks. It returns NaN with no
 // observations — consistent with Mean, and distinguishable from a real
 // zero-latency percentile.
 func (s *Sample) Percentile(p float64) float64 {
-	if len(s.xs) == 0 {
+	if s.Count() == 0 {
 		return math.NaN()
 	}
 	if !s.sorted {
-		sort.Float64s(s.xs)
+		s.flatten()
+		sort.Float64s(s.tail)
 		s.sorted = true
 	}
+	xs := s.tail
 	if p <= 0 {
-		return s.xs[0]
+		return xs[0]
 	}
 	if p >= 100 {
-		return s.xs[len(s.xs)-1]
+		return xs[len(xs)-1]
 	}
-	rank := p / 100 * float64(len(s.xs)-1)
+	rank := p / 100 * float64(len(xs)-1)
 	lo := int(rank)
 	frac := rank - float64(lo)
-	if lo+1 >= len(s.xs) {
-		return s.xs[len(s.xs)-1]
+	if lo+1 >= len(xs) {
+		return xs[len(xs)-1]
 	}
-	return s.xs[lo] + frac*(s.xs[lo+1]-s.xs[lo])
+	return xs[lo] + frac*(xs[lo+1]-xs[lo])
+}
+
+// flatten moves every observation into one contiguous open chunk.
+func (s *Sample) flatten() {
+	if len(s.full) == 0 {
+		return
+	}
+	xs := make([]float64, 0, s.Count())
+	for _, c := range s.full {
+		xs = append(xs, c...)
+	}
+	s.tail = append(xs, s.tail...)
+	s.full, s.sealed = nil, 0
 }
 
 // DrainTo appends s's observations to dst in insertion order and resets
 // s to empty. It is the deterministic merge primitive for sharded
 // accumulation: draining shard samples in a fixed shard order yields the
-// same dst stream regardless of how observations were partitioned.
+// same dst stream regardless of how observations were partitioned. s
+// keeps its open chunk for reuse.
 func (s *Sample) DrainTo(dst *Sample) {
-	if len(s.xs) == 0 {
+	if s.Count() == 0 {
 		return
 	}
-	dst.xs = append(dst.xs, s.xs...)
-	dst.sorted = false
-	s.xs = s.xs[:0]
+	for _, c := range s.full {
+		for _, v := range c {
+			dst.Add(v)
+		}
+	}
+	for _, v := range s.tail {
+		dst.Add(v)
+	}
+	s.full, s.sealed = nil, 0
+	s.tail = s.tail[:0]
 	s.sorted = false
 }
 
@@ -145,21 +206,30 @@ func (s *Sample) DrainTo(dst *Sample) {
 // (or sorted order after a percentile query). Intended for tests that
 // compare sample streams exactly.
 func (s *Sample) Values() []float64 {
-	out := make([]float64, len(s.xs))
-	copy(out, s.xs)
-	return out
+	out := make([]float64, 0, s.Count())
+	for _, c := range s.full {
+		out = append(out, c...)
+	}
+	return append(out, s.tail...)
 }
 
-// Mean returns the arithmetic mean of the sample, or NaN when empty.
+// Mean returns the arithmetic mean of the sample, or NaN when empty. It
+// sums in insertion (or sorted) order, one observation at a time.
 func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
+	n := s.Count()
+	if n == 0 {
 		return math.NaN()
 	}
 	sum := 0.0
-	for _, v := range s.xs {
+	for _, c := range s.full {
+		for _, v := range c {
+			sum += v
+		}
+	}
+	for _, v := range s.tail {
 		sum += v
 	}
-	return sum / float64(len(s.xs))
+	return sum / float64(n)
 }
 
 // Max returns the largest observation, or NaN with no observations.

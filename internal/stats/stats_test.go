@@ -1,7 +1,10 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -222,4 +225,182 @@ func TestLogHistogramEmptyBuckets(t *testing.T) {
 	if len(bounds) != 0 || len(counts) != 0 || h.Total() != 0 {
 		t.Fatal("empty histogram not empty")
 	}
+}
+
+// refSample is the plain-slice Sample the chunked one must match bit for
+// bit: append on Add, sort in place on the first percentile after it.
+type refSample struct {
+	xs     []float64
+	sorted bool
+}
+
+func (r *refSample) add(v float64) { r.xs = append(r.xs, v); r.sorted = false }
+
+func (r *refSample) percentile(p float64) float64 {
+	if len(r.xs) == 0 {
+		return math.NaN()
+	}
+	if !r.sorted {
+		sort.Float64s(r.xs)
+		r.sorted = true
+	}
+	if p <= 0 {
+		return r.xs[0]
+	}
+	if p >= 100 {
+		return r.xs[len(r.xs)-1]
+	}
+	rank := p / 100 * float64(len(r.xs)-1)
+	lo := int(rank)
+	if lo+1 >= len(r.xs) {
+		return r.xs[len(r.xs)-1]
+	}
+	return r.xs[lo] + (rank-float64(lo))*(r.xs[lo+1]-r.xs[lo])
+}
+
+func (r *refSample) drainTo(dst *refSample) {
+	dst.xs = append(dst.xs, r.xs...)
+	dst.sorted = false
+	r.xs, r.sorted = nil, false
+}
+
+func (r *refSample) mean() float64 {
+	if len(r.xs) == 0 {
+		return math.NaN()
+	}
+	sum := 0.0
+	for _, v := range r.xs {
+		sum += v
+	}
+	return sum / float64(len(r.xs))
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func assertMatchesRef(t *testing.T, step string, s *Sample, r *refSample) {
+	t.Helper()
+	got := s.Values()
+	if len(got) != len(r.xs) || s.Count() != len(r.xs) {
+		t.Fatalf("%s: %d values (Count %d), reference has %d", step, len(got), s.Count(), len(r.xs))
+	}
+	for i := range got {
+		if !sameBits(got[i], r.xs[i]) {
+			t.Fatalf("%s: value %d = %v, reference %v", step, i, got[i], r.xs[i])
+		}
+	}
+	if m, rm := s.Mean(), r.mean(); !sameBits(m, rm) {
+		t.Fatalf("%s: mean %v, reference %v", step, m, rm)
+	}
+}
+
+// TestSampleMatchesSliceReference drives chunked Samples and the
+// plain-slice reference through the same interleaving of Add, DrainTo
+// into a non-empty destination, Percentile and more Adds, at sizes
+// around the chunk boundaries, and requires bit-identical values,
+// means and percentiles after every step.
+func TestSampleMatchesSliceReference(t *testing.T) {
+	r := rng.New(42)
+	for _, n := range []int{0, 1, sampleChunk - 1, sampleChunk, sampleChunk + 1, 3*sampleChunk + 7} {
+		var s, dst Sample
+		var rs, rdst refSample
+		for i := 0; i < 5; i++ { // a non-empty destination
+			v := r.Float64()
+			dst.Add(v)
+			rdst.add(v)
+		}
+		for i := 0; i < n; i++ {
+			v := r.Float64()*1000 - 10
+			s.Add(v)
+			rs.add(v)
+		}
+		step := fmt.Sprintf("n=%d add", n)
+		assertMatchesRef(t, step, &s, &rs)
+		s.DrainTo(&dst)
+		rs.drainTo(&rdst)
+		step = fmt.Sprintf("n=%d drain", n)
+		assertMatchesRef(t, step+" (src)", &s, &rs)
+		assertMatchesRef(t, step+" (dst)", &dst, &rdst)
+		for _, p := range []float64{0, 1, 50, 99, 100} {
+			if got, want := dst.Percentile(p), rdst.percentile(p); !sameBits(got, want) {
+				t.Fatalf("n=%d p%v = %v, reference %v", n, p, got, want)
+			}
+		}
+		assertMatchesRef(t, fmt.Sprintf("n=%d percentile", n), &dst, &rdst)
+		for i := 0; i < n+3; i++ {
+			v := r.Float64() * 7
+			dst.Add(v)
+			rdst.add(v)
+			if i%3 == 0 { // refill the drained source too
+				s.Add(v)
+				rs.add(v)
+			}
+		}
+		assertMatchesRef(t, fmt.Sprintf("n=%d add after percentile", n), &dst, &rdst)
+		assertMatchesRef(t, fmt.Sprintf("n=%d refilled src", n), &s, &rs)
+		if got, want := dst.Percentile(50), rdst.percentile(50); !sameBits(got, want) {
+			t.Fatalf("n=%d p50 after re-add = %v, reference %v", n, got, want)
+		}
+	}
+}
+
+// TestSampleCopyKeepsItsValues: a by-value copy, as the availability
+// replay takes of its running Stats every window, keeps reporting the
+// observations it was taken with while the original grows on.
+func TestSampleCopyKeepsItsValues(t *testing.T) {
+	for _, n := range []int{0, 3, sampleChunk, sampleChunk + 5} {
+		var s Sample
+		for i := 0; i < n; i++ {
+			s.Add(float64(i))
+		}
+		cp := s
+		want := cp.Values()
+		for i := 0; i < 2*sampleChunk+9; i++ {
+			s.Add(-1)
+		}
+		got := cp.Values()
+		if len(got) != len(want) || cp.Count() != n {
+			t.Fatalf("n=%d: copy has %d values after Adds on the original, want %d", n, len(got), n)
+		}
+		for i := range got {
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("n=%d: copy value %d changed to %v after Adds on the original", n, i, got[i])
+			}
+		}
+	}
+}
+
+// TestSampleAllocTracksCount is a host-independent allocation guard:
+// growing a Sample to n observations allocates at most 10% over the 8
+// bytes each one keeps, plus one chunk — no copy-on-grow of old data.
+func TestSampleAllocTracksCount(t *testing.T) {
+	for _, n := range []int{100, sampleChunk + 1, 1 << 20} {
+		var s Sample
+		before := totalAlloc()
+		for i := 0; i < n; i++ {
+			s.Add(float64(i))
+		}
+		got := totalAlloc() - before
+		if bound := uint64(1.1*8*float64(n)) + 8*sampleChunk; got > bound {
+			t.Errorf("n=%d: Add allocated %d B, bound %d B", n, got, bound)
+		}
+		var dst Sample
+		before = totalAlloc()
+		s.DrainTo(&dst)
+		got = totalAlloc() - before
+		if bound := uint64(1.1*8*float64(n)) + 8*sampleChunk; got > bound {
+			t.Errorf("n=%d: DrainTo allocated %d B, bound %d B", n, got, bound)
+		}
+		if dst.Count() != n {
+			t.Fatalf("n=%d: drained %d", n, dst.Count())
+		}
+	}
+}
+
+// totalAlloc returns the process's cumulative heap allocation in bytes.
+// The tests around it run serially, so the delta is theirs (give or take
+// the runtime's own background allocation, which the bounds absorb).
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
 }

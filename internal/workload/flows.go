@@ -131,8 +131,10 @@ type PoissonFlows struct {
 
 // NewPoissonFlows builds the generator with its own RNG stream.
 func NewPoissonFlows(tm *Matrix, size SizeDist, load float64, seed uint64) (*PoissonFlows, error) {
-	if load <= 0 {
-		return nil, fmt.Errorf("workload: load must be positive, got %f", load)
+	// NaN fails every comparison, so `load <= 0` alone would accept it —
+	// and then draw no flows at all.
+	if math.IsNaN(load) || math.IsInf(load, 0) || load <= 0 {
+		return nil, fmt.Errorf("workload: load must be positive and finite, got %f", load)
 	}
 	if err := tm.Validate(); err != nil {
 		return nil, err

@@ -181,7 +181,7 @@ func Uniform(n int) *Matrix {
 // 1−x uniformly to all nodes outside it. Cliques of size 1 send all
 // demand outside regardless of x.
 func Locality(cl *schedule.Cliques, x float64) (*Matrix, error) {
-	if x < 0 || x > 1 {
+	if math.IsNaN(x) || x < 0 || x > 1 {
 		return nil, fmt.Errorf("workload: locality ratio %f outside [0,1]", x)
 	}
 	n := cl.N()

@@ -55,6 +55,9 @@ func TestLocalityMatrix(t *testing.T) {
 	if _, err := Locality(cl, 1.5); err == nil {
 		t.Error("x > 1 accepted")
 	}
+	if _, err := Locality(cl, math.NaN()); err == nil {
+		t.Error("x = NaN accepted")
+	}
 }
 
 func TestLocalitySingletonCliques(t *testing.T) {
@@ -294,6 +297,17 @@ func TestBimodal(t *testing.T) {
 	}
 	if math.Abs(float64(short)/10000-0.75) > 0.02 {
 		t.Fatalf("short share = %f", float64(short)/10000)
+	}
+}
+
+func TestPoissonFlowsRejectsBadLoad(t *testing.T) {
+	for _, load := range []float64{0, -0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewPoissonFlows(Uniform(8), FixedSize(4), load, 1); err == nil {
+			t.Errorf("load %v accepted", load)
+		}
+	}
+	if _, err := NewPoissonFlows(Uniform(8), FixedSize(4), 1e-6, 1); err != nil {
+		t.Errorf("small positive load rejected: %v", err)
 	}
 }
 
